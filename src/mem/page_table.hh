@@ -161,8 +161,15 @@ class PageTable
 };
 
 /**
- * A fully-associative LRU TLB. Models hit/miss behaviour only; the
- * translation itself always comes from the shared PageTable.
+ * A fully-associative, exact-LRU TLB. Models hit/miss behaviour only;
+ * the translation itself always comes from the shared PageTable.
+ *
+ * Entries live in a slot array threaded on a circular doubly-linked
+ * recency list and are found through a tag -> slot index, so a lookup
+ * is O(1) whatever the capacity: a hit relinks its slot at the front,
+ * a miss takes the next unused slot while the TLB fills and the back
+ * slot after that. The victim is therefore always the least recently
+ * used entry.
  */
 class Tlb : public SimObject
 {
@@ -173,7 +180,9 @@ class Tlb : public SimObject
           hits(this, "hits", "TLB hits"),
           misses(this, "misses", "TLB misses (page walks)"),
           entries_(entries), pageShift_(page_shift)
-    {}
+    {
+        assert(entries > 0);
+    }
 
     /** @return true on hit; on miss the entry is filled (LRU victim). */
     bool
@@ -181,23 +190,35 @@ class Tlb : public SimObject
     {
         const std::uint64_t tag =
             (std::uint64_t(asid) << 48) ^ (vaddr >> pageShift_);
-        ++clock_;
-        auto it = lru_.find(tag);
-        if (it != lru_.end()) {
-            it->second = clock_;
+        auto it = index_.find(tag);
+        if (it != index_.end()) {
+            const std::uint32_t s = it->second;
+            if (s != slots_[kList].next) {
+                unlink(s);
+                pushFront(s);
+            }
             ++hits;
             return true;
         }
         ++misses;
-        if (lru_.size() >= entries_) {
-            auto victim = lru_.begin();
-            for (auto jt = lru_.begin(); jt != lru_.end(); ++jt) {
-                if (jt->second < victim->second)
-                    victim = jt;
+        std::uint32_t s;
+        if (slots_.size() <= entries_) {
+            if (slots_.empty()) {
+                // Sized once to entries_ + 1 slots (with the sentinel);
+                // growth by doubling would nearly double the array.
+                slots_.reserve(entries_ + 1);
+                slots_.push_back({0, kList, kList});
             }
-            lru_.erase(victim);
+            s = static_cast<std::uint32_t>(slots_.size());
+            slots_.push_back({tag, kList, kList});
+        } else {
+            s = slots_[kList].prev;
+            index_.erase(slots_[s].tag);
+            unlink(s);
+            slots_[s].tag = tag;
         }
-        lru_.emplace(tag, clock_);
+        pushFront(s);
+        index_.emplace(tag, s);
         return false;
     }
 
@@ -205,10 +226,39 @@ class Tlb : public SimObject
     stats::Counter misses;
 
   private:
+    /** Slot 0 is the list's sentinel: its next is the most recently
+     * used entry, its prev the least recently used one. */
+    static constexpr std::uint32_t kList = 0;
+
+    struct Slot
+    {
+        std::uint64_t tag;
+        std::uint32_t prev;
+        std::uint32_t next;
+    };
+
+    void
+    unlink(std::uint32_t s)
+    {
+        const Slot &e = slots_[s];
+        slots_[e.prev].next = e.next;
+        slots_[e.next].prev = e.prev;
+    }
+
+    void
+    pushFront(std::uint32_t s)
+    {
+        const std::uint32_t first = slots_[kList].next;
+        slots_[s].prev = kList;
+        slots_[s].next = first;
+        slots_[first].prev = s;
+        slots_[kList].next = s;
+    }
+
     unsigned entries_;
     unsigned pageShift_;
-    std::uint64_t clock_ = 0;
-    FlatMap<std::uint64_t, std::uint64_t> lru_;
+    std::vector<Slot> slots_;
+    FlatMap<std::uint64_t, std::uint32_t> index_;
 };
 
 } // namespace d2m
