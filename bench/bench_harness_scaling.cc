@@ -140,54 +140,6 @@ main()
     std::printf("  D2M_JOBS=4  : %7.2f s\n", jobs4_sec);
     std::printf("  speedup     : %7.2fx\n", serial_sec / jobs4_sec);
 
-    // ---- 4. Single-run lane scaling (D2M_LANE_JOBS) -----------------
-    // Conservative-PDES parallelism inside ONE run (DESIGN.md §16),
-    // on the Figure 7 style 16-core configuration. D2M configs cap at
-    // 8 nodes (LI encoding), so the 16-core point uses Base-3L — the
-    // heaviest per-access baseline and the fig7 scaling anchor.
-    // k = 0 is the classic serial loop, k = 1 the windowed reference
-    // schedule; every k >= 1 produces bit-identical stats, so only
-    // host wall clock varies. The sim-phase (post-warmup) wall clock
-    // is the speedup that matters for long measurement campaigns.
-    const unsigned kLaneKs[] = {0, 1, 2, 4, 8};
-    double laneWall[5] = {0};
-    double laneSim[5] = {0};
-    double laneKips[5] = {0};
-    if (!reps.empty()) {
-        SystemParams big;
-        big.numNodes = 16;
-        SweepOptions lane = benchOptions();
-        lane.verbose = false;
-        lane.baseParams = big;
-        std::printf("\nsingle-run lane scaling (Base-3L, 16 cores, "
-                    "%s/%s):\n",
-                    reps.front().suite.c_str(),
-                    reps.front().name.c_str());
-        for (unsigned i = 0; i < 5; ++i) {
-            lane.runOptions.laneJobs = kLaneKs[i];
-            const auto t0 = std::chrono::steady_clock::now();
-            const RawRun rr =
-                runRaw(ConfigKind::Base3L, reps.front(), lane);
-            laneWall[i] = wallSeconds(t0);
-            laneSim[i] = rr.result.measureWallSec;
-            laneKips[i] = rr.result.simKips;
-            if (kLaneKs[i] == 0) {
-                std::printf("  classic loop     : %7.2f s wall, "
-                            "%6.2f s sim-phase, %8.0f KIPS\n",
-                            laneWall[i], laneSim[i], laneKips[i]);
-            } else {
-                std::printf("  D2M_LANE_JOBS=%-2u : %7.2f s wall, "
-                            "%6.2f s sim-phase, %8.0f KIPS\n",
-                            kLaneKs[i], laneWall[i], laneSim[i],
-                            laneKips[i]);
-            }
-        }
-        std::printf("  sim-phase speedup, 1 -> 4 lanes: %.2fx "
-                    "(host has %u hardware threads)\n",
-                    laneSim[3] > 0 ? laneSim[1] / laneSim[3] : 0.0,
-                    std::thread::hardware_concurrency());
-    }
-
     // ---- JSON export (D2M_BENCH_JSON_DIR) ---------------------------
     if (const char *dir = std::getenv("D2M_BENCH_JSON_DIR")) {
         const std::string path =
@@ -208,23 +160,10 @@ main()
                      "\"single_run_kips\":%.0f,"
                      "\"sweep_serial_wall_sec\":%.2f,"
                      "\"sweep_jobs4_wall_sec\":%.2f,"
-                     "\"sweep_speedup\":%.2f,"
-                     "\"lane_classic_wall_sec\":%.2f,"
-                     "\"lane_jobs1_wall_sec\":%.2f,"
-                     "\"lane_jobs2_wall_sec\":%.2f,"
-                     "\"lane_jobs4_wall_sec\":%.2f,"
-                     "\"lane_jobs8_wall_sec\":%.2f,"
-                     "\"lane_jobs1_sim_wall_sec\":%.2f,"
-                     "\"lane_jobs4_sim_wall_sec\":%.2f,"
-                     "\"lane_jobs1_kips\":%.0f,"
-                     "\"lane_jobs4_kips\":%.0f,"
-                     "\"lane_jobs4_sim_speedup\":%.2f}\n",
+                     "\"sweep_speedup\":%.2f}\n",
                      std::thread::hardware_concurrency(), mops_std,
                      mops_flat, mops_flat / mops_std, kips, serial_sec,
-                     jobs4_sec, serial_sec / jobs4_sec, laneWall[0],
-                     laneWall[1], laneWall[2], laneWall[3], laneWall[4],
-                     laneSim[1], laneSim[3], laneKips[1], laneKips[3],
-                     laneSim[3] > 0 ? laneSim[1] / laneSim[3] : 0.0);
+                     jobs4_sec, serial_sec / jobs4_sec);
         std::fclose(f);
         std::fprintf(stderr, "wrote %s\n", path.c_str());
     }

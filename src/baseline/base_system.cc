@@ -1,7 +1,6 @@
 #include "baseline/base_system.hh"
 
 #include "common/logging.hh"
-#include "cpu/batch_kernel.hh"
 #include "fault/base_fault_model.hh"
 #include "obs/debug.hh"
 #include "obs/selfprof.hh"
@@ -127,8 +126,6 @@ BaselineSystem::invalidateSharers(ClassicLine &llc_line, NodeId except)
     for (NodeId n = 0; n < params_.numNodes; ++n) {
         if (n == except || !((llc_line.sharers >> n) & 1))
             continue;
-        if (auto *census = laneCensus()) [[unlikely]]
-            census->noteInvalidation(except, n);
         noc_.send(farSide(), n, MsgType::Inv);
         std::uint64_t mval = 0;
         if (invalidateInNode(n, llc_line.lineAddr, mval)) {
@@ -191,13 +188,6 @@ BaselineSystem::llcService(NodeId node, Addr line_addr, bool want_excl,
     energy_.count(Structure::LlcTag, llc_->assoc());
     energy_.count(Structure::Directory);
     lat += params_.lat.directory;
-    if (auto *census = laneCensus()) [[unlikely]] {
-        // The baseline LLC is monolithic behind the directory: every
-        // LLC service is a shared-tier access from the lane census's
-        // point of view.
-        census->noteSharedTier(node, params_.lat.directory);
-        census->noteLlc(node, farSide());
-    }
 
     std::uint64_t value = 0;
     ClassicLine *line = llc_->lookup(line_addr);
@@ -288,7 +278,7 @@ BaselineSystem::llcService(NodeId node, Addr line_addr, bool want_excl,
 
 void
 BaselineSystem::evictPrivateLine(NodeId node, ClassicCache &cache,
-                                 ClassicLine &victim, EnergyAccount &ea)
+                                 ClassicLine &victim)
 {
     if (!victim.valid())
         return;
@@ -320,16 +310,14 @@ BaselineSystem::evictPrivateLine(NodeId node, ClassicCache &cache,
             if (ClassicLine *l2l = nodes_[node].l2->probe(line_addr)) {
                 l2l->value = value;
                 l2l->state = Mesi::M;
-                ea.count(Structure::L2Data);
+                energy_.count(Structure::L2Data);
                 return;
             }
         }
-        // Coherent writeback to the LLC. Never reached with a lane
-        // shadow: accessConfined() only evicts victims that are clean
-        // or fold into the inclusive L2 (both node-local).
+        // Coherent writeback to the LLC.
         noc_.send(node, farSide(), MsgType::WritebackData);
-        ea.count(Structure::LlcTag, llc_->assoc());
-        ea.count(Structure::LlcData);
+        energy_.count(Structure::LlcTag, llc_->assoc());
+        energy_.count(Structure::LlcData);
         ClassicLine *llcl = llc_->probe(line_addr);
         panic_if(!llcl, "inclusive LLC lost a dirty private line");
         llcl->value = value;
@@ -348,21 +336,20 @@ BaselineSystem::evictPrivateLine(NodeId node, ClassicCache &cache,
 
 void
 BaselineSystem::installPrivate(NodeId node, AccessType type, Addr line_addr,
-                               Mesi state, std::uint64_t value,
-                               EnergyAccount &ea)
+                               Mesi state, std::uint64_t value)
 {
     if (hasL2_ && !nodes_[node].l2->probe(line_addr)) {
         ClassicLine &victim = nodes_[node].l2->victimFor(line_addr);
-        evictPrivateLine(node, *nodes_[node].l2, victim, ea);
+        evictPrivateLine(node, *nodes_[node].l2, victim);
         nodes_[node].l2->install(victim, line_addr, state, value);
-        ea.count(Structure::L2Data);
+        energy_.count(Structure::L2Data);
     }
     ClassicCache &l1 = l1For(node, type);
     if (!l1.probe(line_addr)) {
         ClassicLine &victim = l1.victimFor(line_addr);
-        evictPrivateLine(node, l1, victim, ea);
+        evictPrivateLine(node, l1, victim);
         l1.install(victim, line_addr, state, value);
-        ea.count(Structure::L1Data);
+        energy_.count(Structure::L1Data);
     }
 }
 
@@ -403,8 +390,6 @@ BaselineSystem::access(NodeId node, const MemAccess &acc, Tick)
             energy_.count(Structure::LlcTag, llc_->assoc());
             energy_.count(Structure::Directory);
             lat += params_.lat.directory;
-            if (auto *census = laneCensus()) [[unlikely]]
-                census->noteSharedTier(node, params_.lat.directory);
             ClassicLine *llcl = llc_->probe(line_addr);
             panic_if(!llcl, "upgrade for a line absent from inclusive LLC");
             lat += invalidateSharers(*llcl, node);
@@ -457,8 +442,8 @@ BaselineSystem::access(NodeId node, const MemAccess &acc, Tick)
                 value = l2l->value;
                 if (store)
                     l2l->state = Mesi::M;
-                installPrivate(node, acc.type, line_addr, l2l->state, value,
-                               energy_);
+                installPrivate(node, acc.type, line_addr, l2l->state,
+                               value);
                 serviced = true;
                 result.level = ServiceLevel::L2;
                 if (isIFetch(acc.type))
@@ -479,8 +464,7 @@ BaselineSystem::access(NodeId node, const MemAccess &acc, Tick)
                 lat += noc_.send(farSide(), node, MsgType::InvAck);
                 value = l2l->value;
                 l2l->state = Mesi::M;
-                installPrivate(node, acc.type, line_addr, Mesi::M, value,
-                               energy_);
+                installPrivate(node, acc.type, line_addr, Mesi::M, value);
                 serviced = true;
                 result.level = ServiceLevel::L2;
                 if (isIFetch(acc.type))
@@ -495,7 +479,7 @@ BaselineSystem::access(NodeId node, const MemAccess &acc, Tick)
         ServiceLevel level = ServiceLevel::LLC_FAR;
         Mesi granted = Mesi::S;
         value = llcService(node, line_addr, store, lat, level, granted);
-        installPrivate(node, acc.type, line_addr, granted, value, energy_);
+        installPrivate(node, acc.type, line_addr, granted, value);
         result.level = level;
     }
 
@@ -517,140 +501,6 @@ BaselineSystem::access(NodeId node, const MemAccess &acc, Tick)
     stats_.missLatency.sample(lat);
     stats_.accessLatency.sample(lat);
     return result;
-}
-
-void
-BaselineSystem::accessBatch(BatchCtx &bc)
-{
-    // Instantiated with the concrete type: access() is final, so the
-    // per-access call in the kernel devirtualizes and inlines.
-    runBatchKernel(*this, bc);
-}
-
-bool
-BaselineSystem::laneBatch(LaneBatchCtx &bc)
-{
-    return runLaneBatchKernel(*this, bc);
-}
-
-bool
-BaselineSystem::accessConfined(NodeId node, const MemAccess &acc,
-                               Addr line_addr, Tick, LaneShadow &sh,
-                               AccessResult &res)
-{
-    const bool store = isWrite(acc.type);
-    ClassicCache &l1 = l1For(node, acc.type);
-
-    // ---- confinement predicate: const probes only -------------------
-    const ClassicLine *hit =
-        static_cast<const ClassicCache &>(l1).probe(line_addr);
-    if (hit) {
-        if (store && hit->state == Mesi::S)
-            return false;  // S->M upgrade goes through the directory
-    } else {
-        if (!hasL2_)
-            return false;
-        const ClassicLine *l2p = static_cast<const ClassicCache &>(
-            *nodes_[node].l2).probe(line_addr);
-        if (!l2p)
-            return false;
-        if (store && l2p->state != Mesi::M && l2p->state != Mesi::E)
-            return false;  // S in L2, store: directory upgrade
-        // The L1 fill evicts a victim; only node-local victim handling
-        // (invalid, clean, or dirty-folding into the inclusive L2) is
-        // confined. A dirty victim absent from the L2 would write back
-        // to the LLC.
-        const ClassicLine &victim = l1.victimFor(line_addr);
-        if (victim.valid() && victim.state == Mesi::M &&
-            !(hasL2_ && nodes_[node].l2->probe(victim.lineAddr))) {
-            return false;
-        }
-    }
-
-    // ---- commit: the node-local effects of access() for this path ---
-    ++sh.hier.accesses;
-    switch (acc.type) {
-      case AccessType::IFETCH: ++sh.hier.ifetches; break;
-      case AccessType::LOAD: ++sh.hier.loads; break;
-      case AccessType::STORE: ++sh.hier.stores; break;
-    }
-
-    // translate(): per-node TLB, identity frame arithmetic. The driver
-    // already recorded the first-touch page through translateShadowed.
-    Cycles lat = params_.lat.l1Hit;
-    sh.energy.count(Structure::Tlb);
-    if (!nodes_[node].tlb->lookup(acc.asid, acc.vaddr)) {
-        sh.energy.count(Structure::PageWalk);
-        lat += params_.lat.pageWalk;
-    }
-    sh.energy.count(Structure::L1Tag);
-    sh.energy.count(Structure::L1Data);
-
-    if (hit) {
-        ClassicLine *line = l1.lookup(line_addr);
-        if (store) {
-            line->state = Mesi::M;  // silent E/M upgrade (S excluded)
-            line->value = acc.storeValue;
-            if (hasL2_) {
-                if (ClassicLine *l2l = nodes_[node].l2->probe(line_addr)) {
-                    l2l->value = acc.storeValue;
-                    l2l->state = Mesi::M;
-                }
-            }
-        }
-        res.latency = lat;
-        res.level = ServiceLevel::L1;
-        res.loadValue = line->value;
-        sh.hier.accessLatency.sample(lat);
-        return true;
-    }
-
-    // ---- node-local L2 hit ----
-    res.l1Miss = true;
-    if (isIFetch(acc.type)) {
-        ++sh.hier.l1iMisses;
-        ++sh.hier.beyondL1I;
-    } else {
-        ++sh.hier.l1dMisses;
-        ++sh.hier.beyondL1D;
-    }
-    ClassicCache &l2 = *nodes_[node].l2;
-    sh.energy.count(Structure::L2Tag, l2.assoc());
-    lat += params_.lat.l2;
-    ClassicLine *l2l = l2.lookup(line_addr);
-    sh.energy.count(Structure::L2Data);
-    std::uint64_t value = l2l->value;
-    if (store)
-        l2l->state = Mesi::M;
-    installPrivate(node, acc.type, line_addr, l2l->state, value,
-                   sh.energy);
-    res.level = ServiceLevel::L2;
-    if (isIFetch(acc.type))
-        ++sh.hier.nearHitsI;
-    else
-        ++sh.hier.nearHitsD;
-
-    ClassicLine *fresh = l1.probe(line_addr);
-    panic_if(!fresh, "installPrivate failed to fill the L1");
-    if (store) {
-        fresh->state = Mesi::M;
-        fresh->value = acc.storeValue;
-        l2l->state = Mesi::M;
-        l2l->value = acc.storeValue;
-    }
-    res.latency = lat;
-    res.loadValue = fresh->value;
-    sh.hier.missLatencyTotal += lat;
-    sh.hier.missLatency.sample(lat);
-    sh.hier.accessLatency.sample(lat);
-    return true;
-}
-
-void
-BaselineSystem::laneMerge(const LaneShadow &sh)
-{
-    MemorySystem::laneMerge(sh);
-    stats_.mergeFrom(sh.hier);
 }
 
 bool

@@ -39,21 +39,8 @@ class BaselineSystem : public MemorySystem
     BaselineSystem(std::string name, const SystemParams &params);
     ~BaselineSystem() override;
 
-    // `final` so the batch kernels instantiated by accessBatch() /
-    // laneBatch() below devirtualize the per-access call.
     AccessResult access(NodeId node, const MemAccess &acc,
-                        Tick now) final;
-
-    /** Lane-confined fast path: L1 hits (minus S-store upgrades) and
-     * node-local L2 hits (see DESIGN.md §16). */
-    bool accessConfined(NodeId node, const MemAccess &acc, Addr line_addr,
-                        Tick now, LaneShadow &sh,
-                        AccessResult &res) final;
-
-    void accessBatch(BatchCtx &bc) final;
-    bool laneBatch(LaneBatchCtx &bc) final;
-
-    void laneMerge(const LaneShadow &sh) override;
+                        Tick now) override;
 
     bool checkInvariants(std::string &why) const override;
     double sramKib() const override;
@@ -101,11 +88,9 @@ class BaselineSystem : public MemorySystem
      */
     bool invalidateInNode(NodeId n, Addr line_addr, std::uint64_t &mval);
 
-    /** Evict @p victim from an L1 (and L2 copy handling). @p ea is the
-     * energy account to charge — the primary from access(), a lane
-     * shadow from accessConfined(). */
+    /** Evict @p victim from an L1 (and L2 copy handling). */
     void evictPrivateLine(NodeId node, ClassicCache &cache,
-                          ClassicLine &victim, EnergyAccount &ea);
+                          ClassicLine &victim);
 
     /** Make room in the LLC for @p line_addr (inclusive back-inv). */
     ClassicLine &allocateLlc(Addr line_addr, Cycles &lat);
@@ -119,11 +104,9 @@ class BaselineSystem : public MemorySystem
                              Cycles &lat, ServiceLevel &level,
                              Mesi &granted);
 
-    /** Install @p line_addr into node @p node's hierarchy, charging
-     * @p ea (primary energy or a lane shadow's). */
+    /** Install @p line_addr into node @p node's hierarchy. */
     void installPrivate(NodeId node, AccessType type, Addr line_addr,
-                        Mesi state, std::uint64_t value,
-                        EnergyAccount &ea);
+                        Mesi state, std::uint64_t value);
 
     /** Invalidate all sharers of @p llc_line except @p except. */
     Cycles invalidateSharers(ClassicLine &llc_line, NodeId except);

@@ -340,15 +340,6 @@ class FlatSet
 
     bool contains(const Key &key) const { return map_.contains(key); }
 
-    /** Visit every key (unspecified order). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &kv : map_)
-            fn(kv.first);
-    }
-
     bool erase(const Key &key) { return map_.erase(key); }
     std::size_t size() const { return map_.size(); }
     bool empty() const { return map_.empty(); }

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -172,30 +171,6 @@ class Histogram2 : public StatBase
         sum_ += static_cast<double>(v) * static_cast<double>(weight);
         min_ = std::min(min_, v);
         max_ = std::max(max_, v);
-    }
-
-    /**
-     * Fold another histogram's samples in (lane-shadow merge,
-     * cpu/lane_sim.hh). Every sampled value is an integer cycle count
-     * far below 2^53, so the double sum_ addition is exact and the
-     * merged state is independent of merge order or grouping — the
-     * property the lane engine relies on for bit-identical stats at
-     * any lane count.
-     */
-    void
-    merge(const Histogram2 &o)
-    {
-        assert(subBits_ == o.subBits_);
-        if (o.samples_ == 0)
-            return;
-        if (o.buckets_.size() > buckets_.size())
-            buckets_.resize(o.buckets_.size(), 0);
-        for (std::size_t i = 0; i < o.buckets_.size(); ++i)
-            buckets_[i] += o.buckets_[i];
-        samples_ += o.samples_;
-        sum_ += o.sum_;
-        min_ = std::min(min_, o.min_);
-        max_ = std::max(max_, o.max_);
     }
 
     std::uint64_t totalSamples() const { return samples_; }

@@ -54,35 +54,6 @@ class HierarchyStats : public SimObject
                       "L1 miss latency distribution (cycles)")
     {}
 
-    /**
-     * Fold a lane-shadow accumulator of the same shape into this
-     * (primary) group. Pure integer counter additions plus the exact
-     * Histogram2 merge, so the result is independent of the number of
-     * shadows or the merge order (cpu/lane_sim.hh).
-     */
-    void
-    mergeFrom(const HierarchyStats &o)
-    {
-        accesses += o.accesses.value();
-        ifetches += o.ifetches.value();
-        loads += o.loads.value();
-        stores += o.stores.value();
-        l1iMisses += o.l1iMisses.value();
-        l1dMisses += o.l1dMisses.value();
-        beyondL1I += o.beyondL1I.value();
-        beyondL1D += o.beyondL1D.value();
-        nearHitsI += o.nearHitsI.value();
-        nearHitsD += o.nearHitsD.value();
-        invalidationsReceived += o.invalidationsReceived.value();
-        falseInvalidations += o.falseInvalidations.value();
-        missesToPrivate += o.missesToPrivate.value();
-        dirIndirections += o.dirIndirections.value();
-        missLatencyTotal += o.missLatencyTotal.value();
-        dramAccesses += o.dramAccesses.value();
-        accessLatency.merge(o.accessLatency);
-        missLatency.merge(o.missLatency);
-    }
-
     stats::Counter accesses;
     stats::Counter ifetches;
     stats::Counter loads;

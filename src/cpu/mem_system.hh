@@ -17,8 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "common/env.hh"
-#include "common/flat_map.hh"
 #include "common/params.hh"
 #include "common/types.hh"
 #include "cpu/hier_stats.hh"
@@ -33,47 +31,6 @@
 
 namespace d2m
 {
-
-struct BatchCtx;
-struct LaneBatchCtx;
-
-/**
- * Per-lane statistics accumulator for the lane-parallel run mode
- * (cpu/lane_sim.hh).
- *
- * A lane thread may execute "confined" accesses — ones that touch only
- * the issuing node's private structures — without synchronizing with
- * the shared tier. Shared statistics cannot be bumped from a lane
- * thread, so accessConfined() records them here instead; the engine
- * folds every shadow into the primaries at each window barrier via
- * MemorySystem::laneMerge(). All merged quantities are exact (integer
- * counters, integer-valued histogram samples), so the final stats are
- * independent of the lane count.
- */
-struct LaneShadow
-{
-    HierarchyStats hier{"lane_hier", nullptr};
-    EnergyAccount energy{"lane_energy", nullptr};
-    /** First-touch page census redirected from PageTable::translate. */
-    FlatSet<std::uint64_t> touchedPages;
-
-    // D2M confined-path event counters (folded into D2mEvents by
-    // D2mSystem::laneMerge; unused by the baselines).
-    std::uint64_t d2mMd1Hits = 0;
-    std::uint64_t d2mCaseB = 0;
-    std::uint64_t d2mDirectAccesses = 0;
-    std::uint64_t d2mCoverageMd1L1 = 0;
-
-    void
-    reset()
-    {
-        hier.resetStats();
-        energy.resetStats();
-        touchedPages.clear();
-        d2mMd1Hits = d2mCaseB = 0;
-        d2mDirectAccesses = d2mCoverageMd1L1 = 0;
-    }
-};
 
 /** Abstract coherent multicore memory system. */
 class MemorySystem : public SimObject
@@ -96,15 +53,6 @@ class MemorySystem : public SimObject
             noc_.setFaultInjector(faults_.get());
             // Derived systems bind the FaultHost in their constructors.
         }
-        // Lane-partition census (obs/selfprof.hh): D2M_LANES=k stripes
-        // the cores into k prospective PDES lanes and classifies every
-        // simulated interaction against that partition. Wired like the
-        // fault injector so the interconnect can classify messages.
-        if (const std::uint64_t k = envU64("D2M_LANES", 0); k > 0) {
-            lanes_ = std::make_unique<obs::LaneCensus>(
-                params.numNodes, static_cast<unsigned>(k));
-            noc_.setLaneCensus(lanes_.get());
-        }
     }
 
     ~MemorySystem() override = default;
@@ -116,60 +64,6 @@ class MemorySystem : public SimObject
      */
     virtual AccessResult access(NodeId node, const MemAccess &acc,
                                 Tick now) = 0;
-
-    /**
-     * Try to execute @p acc as a lane-confined access: one whose
-     * functional and timing effects are limited to @p node's private
-     * structures (plus the @p sh shadow for shared statistics). Called
-     * from lane threads (cpu/lane_sim.hh); must not touch the shared
-     * tier (NoC, LLC/MD3, memory, placement, page table, primary stat
-     * groups).
-     *
-     * @param line_addr the line address from the driver's (identity)
-     *                  translation, for value/latency bookkeeping.
-     * @return true and fill @p res if the access completed; false with
-     *         no state change at all, in which case the engine parks
-     *         the access and replays it through access() at the next
-     *         window barrier.
-     */
-    virtual bool
-    accessConfined(NodeId node, const MemAccess &acc, Addr line_addr,
-                   Tick now, LaneShadow &sh, AccessResult &res)
-    {
-        (void)node; (void)acc; (void)line_addr; (void)now; (void)sh;
-        (void)res;
-        return false;
-    }
-
-    /**
-     * Execute up to one micro-batch of serial run-loop accesses (see
-     * cpu/batch_kernel.hh). The default runs the generic kernel
-     * through the virtual access(); the concrete systems override it
-     * to instantiate the kernel with their own type so the per-access
-     * call devirtualizes and inlines.
-     */
-    virtual void accessBatch(BatchCtx &bc);
-
-    /**
-     * Execute up to one micro-batch of one lane's window share (see
-     * cpu/batch_kernel.hh). Same devirtualization story as
-     * accessBatch(); called from lane threads, confined like
-     * accessConfined(). @return true while the batch filled with the
-     * window still open.
-     */
-    virtual bool laneBatch(LaneBatchCtx &bc);
-
-    /**
-     * Fold one lane shadow into the primary statistics. Runs on the
-     * main thread at window barriers while all lanes are stopped.
-     * Derived systems extend this with their own stat groups.
-     */
-    virtual void
-    laneMerge(const LaneShadow &sh)
-    {
-        energy_.mergeFrom(sh.energy);
-        pageTable_.absorbTouched(sh.touchedPages);
-    }
 
     /** Verify internal invariants; fills @p why on failure. */
     virtual bool checkInvariants(std::string &why) const
@@ -197,10 +91,6 @@ class MemorySystem : public SimObject
     FaultInjector *faultInjector() { return faults_.get(); }
     const FaultInjector *faultInjector() const { return faults_.get(); }
 
-    /** Lane census, or nullptr when D2M_LANES is unset. */
-    obs::LaneCensus *laneCensus() { return lanes_.get(); }
-    const obs::LaneCensus *laneCensus() const { return lanes_.get(); }
-
     /** Cache the run's self-profiler (null = off) so hot-path scopes
      * test a member pointer instead of the thread-local; runMulticore
      * wires it for the duration of the run. */
@@ -209,16 +99,6 @@ class MemorySystem : public SimObject
     {
         selfProf_ = prof;
         noc_.setSelfProf(prof);
-    }
-    obs::SelfProfiler *selfProf() const { return selfProf_; }
-
-    /** Census counters follow the warmup reset with the Stats tree. */
-    void
-    resetStats() override
-    {
-        SimObject::resetStats();
-        if (lanes_)
-            lanes_->reset();
     }
 
   protected:
@@ -232,7 +112,6 @@ class MemorySystem : public SimObject
     EnergyAccount energy_;
     std::unique_ptr<FaultStats> faultStats_;
     std::unique_ptr<FaultInjector> faults_;
-    std::unique_ptr<obs::LaneCensus> lanes_;
     obs::SelfProfiler *selfProf_ = nullptr;
 };
 

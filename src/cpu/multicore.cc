@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "cpu/batch_kernel.hh"
-#include "cpu/lane_sim.hh"
 #include "obs/debug.hh"
 #include "obs/profiler.hh"
 #include "obs/selfprof.hh"
@@ -23,30 +21,6 @@ runMulticore(MemorySystem &system,
     fatal_if(streams.size() != n,
              "need one stream per node (%u streams, %u nodes)",
              static_cast<unsigned>(streams.size()), n);
-
-    // Lane-parallel dispatch (cpu/lane_sim.hh): explicit option wins,
-    // then the D2M_LANE_JOBS environment knob; 0 keeps the classic
-    // serial loop below.
-    unsigned lane_jobs = opts.laneJobs;
-    if (lane_jobs == ~0u)
-        lane_jobs = static_cast<unsigned>(envU64("D2M_LANE_JOBS", 0));
-    if (lane_jobs > 0) {
-        std::string why;
-        if (laneModeEligible(system, opts, &why)) {
-            Tick window = opts.laneWindow;
-            if (window == 0)
-                window = envU64("D2M_LANE_WINDOW", 0);
-            if (window == 0)
-                window = system.noc().hopLatency();
-            if (window == 0)
-                window = 1;
-            return runMulticoreLanes(system, streams, opts, lane_jobs,
-                                     window);
-        }
-        warn_once("lane-parallel run requested (D2M_LANE_JOBS) but %s; "
-                  "falling back to the serial run loop",
-                  why.c_str());
-    }
 
     std::vector<OooModel> cores;
     cores.reserve(n);
@@ -70,7 +44,6 @@ runMulticore(MemorySystem &system,
     // RunOptions, like the snapshotter). ProfScopes below are single
     // null checks when opts.selfprof is absent.
     obs::SelfProfAttach selfprofAttach(opts.selfprof);
-    obs::LaneCensus *census = system.laneCensus();
     // Hoisted once: the in-loop scopes test this register-resident
     // pointer instead of re-reading the thread-local every scope, and
     // the memory system caches it as a member for the same reason.
@@ -86,42 +59,6 @@ runMulticore(MemorySystem &system,
 
     unsigned remaining = n;
 
-    // Micro-batched fast path (cpu/batch_kernel.hh): explicit option
-    // wins, then the D2M_BATCH environment knob; 0 keeps the classic
-    // per-access loop below. Both loops share the same locals, so the
-    // epilogue after them is loop-shape independent — and the batched
-    // kernel mirrors the classic body statement for statement, so the
-    // statistics are byte-identical either way.
-    std::uint64_t batch = opts.batch;
-    if (batch == ~std::uint64_t{0})
-        batch = envU64("D2M_BATCH", 64);
-    if (batch > 0) {
-        BatchCtx bc{cores,        streams, active,
-                    golden,       result,  profiler,
-                    opts,         warmup_total, batch,
-                    remaining,    warm,    total_committed,
-                    insts_at_reset, cycles_at_reset};
-        while (remaining > 0) {
-            if (opts.progress) [[unlikely]] {
-                // Liveness + cancellation poll, once per batch: the
-                // progress value just has to keep moving, and a cancel
-                // is acted on within one micro-batch.
-                opts.progress->store(
-                    result.accesses + total_committed + 1,
-                    std::memory_order_relaxed);
-                if (opts.instsProgress) {
-                    opts.instsProgress->store(total_committed,
-                                              std::memory_order_relaxed);
-                }
-                if (opts.cancel &&
-                    opts.cancel->load(std::memory_order_relaxed) != 0) {
-                    fatal("run cancelled by campaign watchdog/drain "
-                          "(timeout or shutdown requested)");
-                }
-            }
-            system.accessBatch(bc);
-        }
-    } else
     while (remaining > 0) {
         if (opts.progress) [[unlikely]] {
             // Liveness + cancellation poll: one relaxed store and one
@@ -237,8 +174,6 @@ runMulticore(MemorySystem &system,
             obs::traceEvent(obs::TraceKind::AccessIssue, best, line_addr,
                             op);
         }
-        if (census) [[unlikely]]
-            census->noteAccess(best);
         const AccessResult res = system.access(best, acc, core.now());
         obs::traceEvent(obs::TraceKind::AccessComplete, best, line_addr,
                         res.latency, res.l1Miss);

@@ -105,34 +105,6 @@ struct RunOptions
      * into a recoverable RunAborted outcome for just this cell.
      */
     const std::atomic<int> *cancel = nullptr;
-
-    /**
-     * Micro-batch size for the data-oriented access kernel
-     * (cpu/batch_kernel.hh): the run loop hands this many accesses at
-     * a time to MemorySystem::accessBatch(), devirtualizing the
-     * per-access dispatch and hoisting the observability guards to the
-     * batch edge. Statistics are byte-identical for every batch size.
-     * ~0 (the default) resolves from the D2M_BATCH environment knob
-     * (default 64); an explicit 0 forces the classic per-access loop.
-     */
-    std::uint64_t batch = ~std::uint64_t{0};
-    /**
-     * Lane-parallel execution (cpu/lane_sim.hh): number of PDES lanes
-     * the cores are striped into. ~0u (the default) resolves from the
-     * D2M_LANE_JOBS environment knob (0/unset = classic serial loop);
-     * an explicit 0 forces the classic loop regardless of the
-     * environment. Clamped to the node count. Runs that are not
-     * lane-eligible (tracing, fault injection, interval stats, ...)
-     * fall back to the classic loop with a one-shot warning.
-     */
-    unsigned laneJobs = ~0u;
-    /**
-     * Lane synchronization window in ticks. 0 (the default) resolves
-     * from D2M_LANE_WINDOW, falling back to the NoC hop latency — the
-     * minimum latency of any cross-lane interaction, which is the
-     * conservative-PDES lookahead bound tools/d2m_laneplan reports.
-     */
-    Tick laneWindow = 0;
 };
 
 /** Drive @p streams (one per node) to completion on @p system. */

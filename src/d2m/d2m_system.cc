@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/env.hh"
 #include "common/logging.hh"
-#include "cpu/batch_kernel.hh"
 #include "fault/d2m_fault_model.hh"
 #include "obs/debug.hh"
 #include "obs/selfprof.hh"
@@ -106,9 +104,6 @@ D2mSystem::D2mSystem(std::string name, const SystemParams &params)
         replication_ = std::make_unique<NoReplicationPolicy>();
 
     nextPressureEpoch_ = params.nsPressurePeriod;
-
-    mdCache_.resize(params.numNodes * 2);
-    mdCacheOn_ = envU64("D2M_NO_MDCACHE", 0) == 0;
 
     if (faults_) {
         faultModel_ = std::make_unique<D2mFaultModel>(*this);
@@ -229,18 +224,7 @@ D2mSystem::lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
 
     // MD1 lookup replaces the TLB: virtually tagged, charged like one.
     energy_.count(Structure::Md1);
-    const std::uint64_t key = md1Key(acc.asid, acc.vaddr);
-    MdCacheSlot &mc = mdCache_[node * 2 + side_i];
-    Md1Entry *e1 = nullptr;
-    // Micro-cache fast path: same verify + parity + touch sequence as
-    // find(), minus the set scan. Falls back on any mismatch.
-    if (mdCacheOn_ && mc.key == key) [[likely]] {
-        if ((e1 = md1.recheck(mc.e1, key)))
-            md1.touchEntry(*e1);
-    }
-    if (!e1)
-        e1 = md1.find(key);
-    if (e1) [[likely]] {
+    if (Md1Entry *e1 = md1.find(md1Key(acc.asid, acc.vaddr))) [[likely]] {
         md_level = 0;
         ++events_.md1Hits;
         DTRACE(MD, this, "node%u MD1-%c hit region 0x%llx", node,
@@ -248,14 +232,9 @@ D2mSystem::lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
                static_cast<unsigned long long>(e1->pregion));
         ActiveMd amd;
         amd.md1 = e1;
-        amd.md2 =
-            mdCacheOn_ ? ctx.md2->recheck(mc.e2, e1->pregion) : nullptr;
-        if (!amd.md2)
-            amd.md2 = ctx.md2->probe(e1->pregion);
+        amd.md2 = ctx.md2->probe(e1->pregion);
         amd.pregion = e1->pregion;
         panic_if(!amd.md2, "MD1 inclusion in MD2 violated");
-        if (mdCacheOn_)
-            mc = {key, e1, amd.md2};
         return amd;
     }
 
@@ -302,16 +281,11 @@ D2mSystem::lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
         amd.md1 = &e1;
         amd.md2 = e2;
         amd.pregion = pregion;
-        if (mdCacheOn_)
-            mc = {key, amd.md1, amd.md2};
         return amd;
     }
 
     md_level = 2;
-    ActiveMd amd = caseD(node, side_i, acc.asid, acc.vaddr, pregion, lat);
-    if (mdCacheOn_)
-        mc = {key, amd.md1, amd.md2};
-    return amd;
+    return caseD(node, side_i, acc.asid, acc.vaddr, pregion, lat);
 }
 
 D2mSystem::ActiveMd
@@ -326,8 +300,6 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
     lat += noc_.send(node, farSide(), MsgType::ReadMM);
     energy_.count(Structure::Md3);
     lat += params_.lat.md3;
-    if (auto *census = laneCensus()) [[unlikely]]
-        census->noteSharedTier(node, params_.lat.md3);
     lockRegion(pregion);
 
     LiVector lis{};
@@ -751,10 +723,6 @@ D2mSystem::invalidateLineAtNode(NodeId n, std::uint64_t pregion,
                                 const LocationInfo &new_master)
 {
     obs::ProfScope prof(selfProf_, obs::ProfSite::Invalidate);
-    if (auto *census = laneCensus()) [[unlikely]] {
-        census->noteInvalidation(new_master.kind == LiKind::Node
-                                     ? new_master.node : n, n);
-    }
     ++stats_.invalidationsReceived;
     ActiveMd amd = activeMdFor(n, pregion);
     panic_if(!amd.tracked(), "Inv for an untracked region");
@@ -1128,8 +1096,6 @@ D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
       case LiKind::Llc: {
         const std::uint32_t slice = master.node;
         const std::uint32_t ep = sliceEndpoint(slice);
-        if (auto *census = laneCensus()) [[unlikely]]
-            census->noteLlc(node, ep);
         lat += noc_.send(node, ep, MsgType::ReadReq);
         std::uint32_t set = 0;
         // The region's scramble governs LLC indexing; all trackers of
@@ -1245,8 +1211,6 @@ D2mSystem::caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
     lat += noc_.send(node, farSide(), MsgType::ReadExReq);
     energy_.count(Structure::Md3);
     lat += params_.lat.md3;
-    if (auto *census = laneCensus()) [[unlikely]]
-        census->noteSharedTier(node, params_.lat.md3);
     lockRegion(pregion);
 
     Md3Entry *e3 = md3_->probe(pregion);
@@ -1409,121 +1373,6 @@ D2mSystem::access(NodeId node, const MemAccess &acc, Tick now)
                                          lat);
     stats_.accessLatency.sample(res.latency);
     return res;
-}
-
-void
-D2mSystem::accessBatch(BatchCtx &bc)
-{
-    // Instantiated with the concrete type: access() is final, so the
-    // per-access call in the kernel devirtualizes and inlines.
-    runBatchKernel(*this, bc);
-}
-
-bool
-D2mSystem::laneBatch(LaneBatchCtx &bc)
-{
-    return runLaneBatchKernel(*this, bc);
-}
-
-bool
-D2mSystem::accessConfined(NodeId node, const MemAccess &acc, Addr,
-                          Tick now, LaneShadow &sh, AccessResult &res)
-{
-    // A due pressure-exchange epoch is shared-tier work: park so the
-    // serial drain runs it through access() at the window barrier.
-    if (nearSide_ && now >= nextPressureEpoch_)
-        return false;
-
-    const bool side_i = isIFetch(acc.type);
-    const bool store = isWrite(acc.type);
-
-    // ---- confinement predicate: const probes only, no state change --
-    const Md1Entry *e1 =
-        md1For(node, side_i).probe(md1Key(acc.asid, acc.vaddr));
-    if (!e1)
-        return false;
-    // D2M computes the physical address from the MD1 entry's region
-    // (virtually-tagged MD1 replaces the TLB), so the driver-supplied
-    // line address is ignored here.
-    const Addr paddr =
-        (e1->pregion << regionShift_) |
-        (acc.vaddr & ((Addr(1) << regionShift_) - 1));
-    const Addr line_addr = lineOf(paddr);
-    const LocationInfo li = e1->li[lineIdxOf(line_addr)];
-    if (li.kind != LiKind::L1)
-        return false;
-
-    TaglessCache &l1 = l1For(node, side_i);
-    const std::uint32_t set = l1.setFor(line_addr, e1->scramble);
-    const TaglessLine &peek =
-        static_cast<const TaglessCache &>(l1).at(set, li.way);
-    panic_if(!peek.valid || peek.lineAddr != line_addr,
-             "deterministic LI violated at L1");
-    if (store) {
-        const bool silent =
-            peek.master && (e1->privateBit || peek.exclusive);
-        const bool case_b_mem = !peek.master && e1->privateBit &&
-                                peek.rp.kind == LiKind::Mem;
-        if (!silent && !case_b_mem)
-            return false;  // needs MD3 / a cached master: not confined
-    }
-
-    // ---- commit: the node-local effects of access() for this path ---
-    ++sh.hier.accesses;
-    switch (acc.type) {
-      case AccessType::IFETCH: ++sh.hier.ifetches; break;
-      case AccessType::LOAD: ++sh.hier.loads; break;
-      case AccessType::STORE: ++sh.hier.stores; break;
-    }
-    const Cycles lat = params_.lat.l1Hit;
-
-    // lookupMetadata(), MD1-hit branch.
-    sh.energy.count(Structure::Md1);
-    md1For(node, side_i).find(e1->key);  // recency touch
-    ++sh.d2mMd1Hits;
-    Md2Entry *e2 = nodes_[node].md2->probe(e1->pregion);
-    panic_if(!e2, "MD1 inclusion in MD2 violated");
-
-    // serviceLine(), L1-hit branch.
-    TaglessLine &slot = l1.at(set, li.way);
-    sh.energy.count(Structure::L1Data);
-    l1.touch(set, li.way);
-    ++e2->hits;
-    if (store) {
-        if (slot.master && (e1->privateBit || slot.exclusive)) {
-            // Silent upgrade.
-            slot.value = acc.storeValue;
-            slot.dirty = true;
-        } else {
-            // Case B (private, hit) with the master in memory: nothing
-            // cached to consume, no local replica chain to drop.
-            ++sh.d2mCaseB;
-            ++sh.d2mDirectAccesses;
-            slot.master = true;
-            slot.exclusive = true;
-            slot.dirty = true;
-            slot.value = acc.storeValue;
-            slot.rp = LocationInfo::mem();
-        }
-    }
-    res.loadValue = slot.value;
-    res.latency = lat;
-    res.level = ServiceLevel::L1;
-    ++sh.d2mCoverageMd1L1;  // events_.sampleCoverage(0, 0)
-    sh.hier.accessLatency.sample(lat);
-    return true;
-}
-
-void
-D2mSystem::laneMerge(const LaneShadow &sh)
-{
-    MemorySystem::laneMerge(sh);
-    stats_.mergeFrom(sh.hier);
-    events_.md1Hits += sh.d2mMd1Hits;
-    events_.b += sh.d2mCaseB;
-    events_.directAccesses += sh.d2mDirectAccesses;
-    events_.coverage += sh.d2mCoverageMd1L1;
-    events_.coverageMatrix[0][0] += sh.d2mCoverageMd1L1;
 }
 
 AccessResult

@@ -56,21 +56,8 @@ class D2mSystem : public MemorySystem
     D2mSystem(std::string name, const SystemParams &params);
     ~D2mSystem() override;
 
-    // `final` so the batch kernels instantiated by accessBatch() /
-    // laneBatch() below devirtualize the per-access call.
     AccessResult access(NodeId node, const MemAccess &acc,
-                        Tick now) final;
-
-    /** Lane-confined fast path: MD1-hit L1 hits whose protocol case
-     * never leaves the node (see DESIGN.md §16). */
-    bool accessConfined(NodeId node, const MemAccess &acc, Addr line_addr,
-                        Tick now, LaneShadow &sh,
-                        AccessResult &res) final;
-
-    void accessBatch(BatchCtx &bc) final;
-    bool laneBatch(LaneBatchCtx &bc) final;
-
-    void laneMerge(const LaneShadow &sh) override;
+                        Tick now) override;
 
     bool checkInvariants(std::string &why) const override;
     double sramKib() const override;
@@ -314,26 +301,6 @@ class D2mSystem : public MemorySystem
     IndexScrambler scrambler_;
 
     Tick nextPressureEpoch_ = 0;
-
-    /**
-     * Per-(node, L1 side) MRU micro-cache over the MD1 region walk:
-     * the last classification's (key, MD1 entry, MD2 entry). Slots are
-     * verified against the authoritative store on every use
-     * (self-validating): region install/evict/paging/fault-recovery
-     * events need no explicit hooks because a stale slot fails the
-     * valid/key check and the walk falls back to the full lookup,
-     * while in-place mutations (paging remaps, parity recovery) are
-     * observed through the same entry pointers the full walk returns.
-     * D2M_NO_MDCACHE=1 kills the fast path for A/B testing.
-     */
-    struct MdCacheSlot
-    {
-        std::uint64_t key = ~std::uint64_t{0};
-        Md1Entry *e1 = nullptr;
-        Md2Entry *e2 = nullptr;
-    };
-    std::vector<MdCacheSlot> mdCache_;
-    bool mdCacheOn_ = true;
 
     /** LI hops chased by the access in flight (events_.liHopsPerMiss). */
     std::uint64_t curLiHops_ = 0;

@@ -20,6 +20,7 @@
 #define D2M_D2M_LOCATION_INFO_HH
 
 #include <cstdint>
+#include <string>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -76,6 +77,25 @@ struct LocationInfo
     }
 };
 
+/**
+ * Can the 6-bit LI code name every location of a system with
+ * @p num_nodes nodes and @p llc_slices LLC slices of @p llc_ways ways?
+ * LiCodec enforces this at construction, and the sweep planner calls
+ * it to reject impossible configurations before any cell runs.
+ * @return an empty string if it can, else the limit that is exceeded.
+ */
+inline std::string
+liEncodingError(unsigned num_nodes, unsigned llc_slices, unsigned llc_ways)
+{
+    if (num_nodes > 8)
+        return "LI encoding supports at most 8 nodes";
+    if (llc_slices * llc_ways > 32)
+        return "LI encoding supports at most 32 total LLC ways";
+    if (!isPowerOf2(llc_slices) || !isPowerOf2(llc_ways))
+        return "LLC slices and ways must be powers of two";
+    return {};
+}
+
 /** Bit-level geometry of the 6-bit LI code. */
 class LiCodec
 {
@@ -88,11 +108,9 @@ class LiCodec
     LiCodec(unsigned num_nodes, unsigned llc_slices, unsigned llc_ways)
         : slices_(llc_slices), sliceWays_(llc_ways)
     {
-        fatal_if(num_nodes > 8, "LI encoding supports at most 8 nodes");
-        fatal_if(llc_slices * llc_ways > 32,
-                 "LI encoding supports at most 32 total LLC ways");
-        fatal_if(!isPowerOf2(llc_slices) || !isPowerOf2(llc_ways),
-                 "LLC slices and ways must be powers of two");
+        const std::string why =
+            liEncodingError(num_nodes, llc_slices, llc_ways);
+        fatal_if(!why.empty(), "%s", why.c_str());
         wayBits_ = llc_ways > 1 ? floorLog2(llc_ways) : 0;
     }
 

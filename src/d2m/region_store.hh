@@ -185,28 +185,6 @@ class RegionStore : public SimObject
     }
 
     /**
-     * Re-validate a cached entry pointer for @p key: the same checks
-     * and parity side effects as probe(), without the set scan. Safe
-     * because entries_ never reallocates.
-     * @return @p e if it is still the live entry for @p key, else
-     * nullptr (caller falls back to the full lookup).
-     */
-    Entry *
-    recheck(Entry *e, std::uint64_t key)
-    {
-        if (!e || !e->valid || e->key != key)
-            return nullptr;
-        return parityChecked(e);
-    }
-
-    /** find()'s recency update for an already-probed entry. */
-    void
-    touchEntry(Entry &e)
-    {
-        repl_->touch(replStates_[indexOf(e)], ++clock_);
-    }
-
-    /**
      * Install the fault-model parity handler: invoked with any marked
      * entry about to be handed to a mutating reader. The flag is
      * cleared *before* the handler runs, so recovery may re-read the

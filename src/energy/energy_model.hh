@@ -90,15 +90,6 @@ class EnergyAccount : public SimObject
         return counts_[static_cast<size_t>(s)];
     }
 
-    /** Fold a lane-shadow account in (order-free integer additions;
-     * see cpu/lane_sim.hh). */
-    void
-    mergeFrom(const EnergyAccount &o)
-    {
-        for (size_t i = 0; i < counts_.size(); ++i)
-            counts_[i] += o.counts_[i];
-    }
-
     /** Dynamic SRAM energy in pJ (excludes NoC; see totalPj). */
     double dynamicSramPj(const EnergyTable &table) const;
 

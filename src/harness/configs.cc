@@ -3,6 +3,7 @@
 #include "baseline/base_system.hh"
 #include "common/logging.hh"
 #include "d2m/d2m_system.hh"
+#include "d2m/location_info.hh"
 
 namespace d2m
 {
@@ -58,6 +59,24 @@ paramsFor(ConfigKind kind, SystemParams base)
         break;
     }
     return base;
+}
+
+std::string
+configError(ConfigKind kind, const SystemParams &base)
+{
+    switch (kind) {
+      case ConfigKind::Base2L:
+      case ConfigKind::Base3L:
+        return {};
+      case ConfigKind::D2mFs:
+      case ConfigKind::D2mNs:
+      case ConfigKind::D2mNsR: {
+        const SystemParams p = paramsFor(kind, base);
+        const unsigned slices = p.nearSideLlc ? p.numNodes : 1;
+        return liEncodingError(p.numNodes, slices, p.llc.assoc / slices);
+      }
+    }
+    return {};
 }
 
 std::unique_ptr<MemorySystem>

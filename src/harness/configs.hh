@@ -8,6 +8,7 @@
 #define D2M_HARNESS_CONFIGS_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cpu/mem_system.hh"
@@ -32,6 +33,13 @@ std::vector<ConfigKind> allConfigs();
 
 /** Specialize @p base for @p kind (Table III analogue). */
 SystemParams paramsFor(ConfigKind kind, SystemParams base = {});
+
+/**
+ * Why @p kind cannot be built on @p base (for the D2M configs, an LI
+ * encoding limit; see d2m/location_info.hh), or an empty string if it
+ * can. Lets a sweep reject an impossible grid before any cell runs.
+ */
+std::string configError(ConfigKind kind, const SystemParams &base);
 
 /** Build a ready-to-run system. */
 std::unique_ptr<MemorySystem> makeSystem(ConfigKind kind,

@@ -112,8 +112,6 @@ manifestKeys()
         {"grid", "nodes", "D2M_NODES", true},
         {"grid", "warmup", "D2M_WARMUP", true},
         {"grid", "seed", "D2M_SEED", true},
-        {"grid", "lane_jobs", "D2M_LANE_JOBS", true},
-        {"grid", "lane_window", "D2M_LANE_WINDOW", true},
         {"obs", "heartbeat_minsts", "D2M_HEARTBEAT", true},
         {"obs", "debug", "D2M_DEBUG", false},
         {"obs", "trace_file", "D2M_TRACE_FILE", false},
@@ -124,7 +122,6 @@ manifestKeys()
         {"obs", "bench_json_dir", "D2M_BENCH_JSON_DIR", false},
         {"obs", "selfprof", "D2M_SELFPROF", true},
         {"obs", "selfprof_top", "D2M_SELFPROF_TOP", true},
-        {"obs", "lanes", "D2M_LANES", true},
     };
     return keys;
 }

@@ -146,12 +146,11 @@ runOneImpl(ConfigKind kind, const NamedWorkload &wl,
     const RunResult run = runMulticore(*system, streams, ropts);
     Metrics m = collectMetrics(kind, wl.suite, wl.name, *system, run);
     std::string sp;
-    if (selfprof || system->laneCensus()) {
+    if (selfprof) {
         const obs::SelfProfRate rate{
             run.simKips, run.warmupWallSec, run.measureWallSec,
             run.heartbeats, envU64("D2M_HEARTBEAT", 0) * 1'000'000};
-        sp = obs::selfprofSection(selfprof.get(), system->laneCensus(),
-                                  rate);
+        sp = obs::selfprofSection(selfprof.get(), rate);
     }
     if (selfprof)
         emit(ctx, selfprof->topTable(run.measureWallSec));
@@ -323,6 +322,16 @@ runSweep(const std::vector<ConfigKind> &configs,
          const std::vector<NamedWorkload> &workloads,
          const SweepOptions &opts)
 {
+    // A config that cannot be built would fail every one of its cells
+    // at run time; reject the whole grid once, before any cell runs.
+    const SystemParams base = resolveBaseParams(opts);
+    for (ConfigKind kind : configs) {
+        const std::string why = configError(kind, base);
+        fatal_if(!why.empty(), "%s=%u: config %s cannot be built: %s",
+                 envU64("D2M_NODES", 0) ? "D2M_NODES" : "numNodes",
+                 base.numNodes, configKindName(kind), why.c_str());
+    }
+
     struct JobSpec
     {
         ConfigKind kind;

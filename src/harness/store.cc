@@ -149,7 +149,7 @@ makeRunKey(ConfigKind kind, const NamedWorkload &wl,
            const SystemParams &sp)
 {
     KeyHasher h;
-    h.str("d2m-run-key-v1");
+    h.str("d2m-run-key-v2");
     h.str(configKindName(kind));
     h.str(wl.suite);
     h.str(wl.name);
@@ -240,14 +240,6 @@ makeRunKey(ConfigKind kind, const NamedWorkload &wl,
     h.u64(f.nocMaxDelayHops);
 
     h.u64(sp.seed);
-
-    // Lane-parallel execution knobs (cpu/lane_sim.hh): the lane count
-    // itself never changes results, but it toggles between the classic
-    // and the windowed schedule, and the window size sets the drain
-    // batching — both change the (deterministic) stats, so cached rows
-    // must not be served across them.
-    h.u64(envU64("D2M_LANE_JOBS", 0));
-    h.u64(envU64("D2M_LANE_WINDOW", 0));
 
     h.str(binaryFingerprint());
     return RunKey{h.value()};

@@ -11,7 +11,6 @@
 #ifndef D2M_MEM_PAGE_TABLE_HH
 #define D2M_MEM_PAGE_TABLE_HH
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -54,13 +53,6 @@ class PageTable
     {
         const std::uint64_t vpage = vaddr >> pageShift_;
         const Addr offset = vaddr & ((Addr(1) << pageShift_) - 1);
-        // Micro-TLB fast path: frames never move once assigned
-        // (identity frames are arithmetic, demand frames allocate
-        // once), and a cached page already counted its first touch,
-        // so a hit is observationally identical to the full walk.
-        TlbSlot &slot = tlb_[asid & (kTlbSlots - 1)];
-        if (slot.vpage == vpage && slot.asid == asid) [[likely]]
-            return (slot.frame << pageShift_) | offset;
         std::uint64_t frame;
         if (mode_ == Mode::Identity) {
             frame = vpage + (std::uint64_t(asid) << 24);
@@ -77,48 +69,10 @@ class PageTable
                 frame = it->second;
             }
         }
-        slot.vpage = vpage;
-        slot.asid = asid;
-        slot.frame = frame;
         return (frame << pageShift_) | offset;
     }
 
     std::uint64_t numPages() const { return pages_; }
-
-    /** Identity mode preserves virtual alignment (and needs no shared
-     * allocation state — see translateShadowed). */
-    bool identityMode() const { return mode_ == Mode::Identity; }
-
-    /**
-     * Identity-mode translate for lane threads (cpu/lane_sim.hh): the
-     * frame is computed arithmetically, and the only shared side
-     * effect — the first-touch page census — is redirected into the
-     * caller's @p touched set. Lane engines fold those sets back in
-     * with absorbTouched(), making the final page count the size of
-     * the union, independent of the lane partition.
-     */
-    Addr
-    translateShadowed(AsId asid, Addr vaddr,
-                      FlatSet<std::uint64_t> &touched) const
-    {
-        assert(mode_ == Mode::Identity);
-        const std::uint64_t vpage = vaddr >> pageShift_;
-        const std::uint64_t frame = vpage + (std::uint64_t(asid) << 24);
-        touched.insert((std::uint64_t(asid) << 40) ^ vpage);
-        const Addr offset = vaddr & ((Addr(1) << pageShift_) - 1);
-        return (frame << pageShift_) | offset;
-    }
-
-    /** Fold a lane thread's first-touch set back into the shared
-     * census; only genuinely new pages bump the count. */
-    void
-    absorbTouched(const FlatSet<std::uint64_t> &touched)
-    {
-        touched.forEach([this](std::uint64_t key) {
-            if (touched_.insert(key))
-                ++pages_;
-        });
-    }
 
   private:
     struct Key
@@ -137,23 +91,8 @@ class PageTable
         }
     };
 
-    /**
-     * Direct-mapped micro-TLB over translate(), one slot per low
-     * asid bits (per-core streams land in distinct slots). Serial
-     * paths only: lane threads translate through translateShadowed()
-     * and never read or write these slots.
-     */
-    struct TlbSlot
-    {
-        std::uint64_t vpage = ~std::uint64_t{0};
-        std::uint64_t frame = 0;
-        AsId asid = ~AsId{0};
-    };
-    static constexpr unsigned kTlbSlots = 16;
-
     unsigned pageShift_;
     Mode mode_;
-    std::array<TlbSlot, kTlbSlots> tlb_{};
     std::uint64_t nextFrame_ = 1;  // frame 0 reserved
     std::uint64_t pages_ = 0;
     FlatMap<Key, std::uint64_t, KeyHash> map_;

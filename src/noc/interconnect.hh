@@ -112,19 +112,12 @@ class Interconnect : public SimObject
             lat += f.extraLatency;
         }
         sendDelay.sample(lat);
-        // One census note per send() call (retransmissions are link
-        // phenomena, not extra lane interactions); the observed
-        // latency feeds the conservative lookahead distribution.
-        if (census_) [[unlikely]]
-            census_->noteMessage(src, dst, lat);
         return lat;
     }
 
     /** Bind the fault injector modeling link drops/delays. */
     void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
 
-    /** Bind the lane census classifying messages (obs/selfprof.hh). */
-    void setLaneCensus(obs::LaneCensus *census) { census_ = census; }
     void setSelfProf(obs::SelfProfiler *prof) { selfProf_ = prof; }
 
     /**
@@ -150,7 +143,6 @@ class Interconnect : public SimObject
         return perType_[static_cast<size_t>(type)];
     }
 
-    Cycles hopLatency() const { return hopLatency_; }
     unsigned numNodes() const { return numNodes_; }
 
     void
@@ -171,7 +163,6 @@ class Interconnect : public SimObject
     unsigned lineSize_;
     Cycles hopLatency_;
     FaultInjector *faults_ = nullptr;
-    obs::LaneCensus *census_ = nullptr;
     obs::SelfProfiler *selfProf_ = nullptr;
     std::array<std::uint64_t, static_cast<size_t>(MsgType::NUM_TYPES)>
         perType_;

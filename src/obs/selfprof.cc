@@ -267,79 +267,8 @@ SelfProfiler::emitTraceCounters() const
     }
 }
 
-LaneCensus::LaneCensus(unsigned num_nodes, unsigned k)
-    : nodes_(num_nodes), k_(k), nodeLoad_(num_nodes, 0),
-      matrix_(static_cast<std::size_t>(num_nodes + 1) * (num_nodes + 1),
-              0)
-{
-    fatal_if(k == 0, "LaneCensus needs at least one lane");
-}
-
-void
-LaneCensus::reset()
-{
-    eventsTotal_ = 0;
-    std::fill(nodeLoad_.begin(), nodeLoad_.end(), 0);
-    std::fill(matrix_.begin(), matrix_.end(), 0);
-    msgLocal_ = msgCross_ = msgShared_ = 0;
-    invLocal_ = invCross_ = 0;
-    llcLocal_ = llcCross_ = llcShared_ = 0;
-    sharedTierAccesses_ = 0;
-    lookahead_.clear();
-}
-
 std::string
-LaneCensus::json() const
-{
-    std::string out = "{\"k\":" +
-                      json::number(static_cast<std::uint64_t>(k_)) +
-                      ",\"nodes\":" +
-                      json::number(static_cast<std::uint64_t>(nodes_)) +
-                      ",\"accesses\":" + json::number(eventsTotal_);
-    out += ",\"node_load\":[";
-    for (unsigned n = 0; n < nodes_; ++n) {
-        if (n)
-            out += ",";
-        out += json::number(nodeLoad_[n]);
-    }
-    out += "],\"messages\":{\"local\":" + json::number(msgLocal_) +
-           ",\"cross\":" + json::number(msgCross_) +
-           ",\"shared\":" + json::number(msgShared_) + "}";
-    out += ",\"invalidations\":{\"local\":" + json::number(invLocal_) +
-           ",\"cross\":" + json::number(invCross_) + "}";
-    out += ",\"llc\":{\"local\":" + json::number(llcLocal_) +
-           ",\"cross\":" + json::number(llcCross_) +
-           ",\"shared\":" + json::number(llcShared_) + "}";
-    out += ",\"shared_tier_accesses\":" +
-           json::number(sharedTierAccesses_);
-    out += ",\"matrix\":[";
-    for (unsigned s = 0; s <= nodes_; ++s) {
-        if (s)
-            out += ",";
-        out += "[";
-        for (unsigned d = 0; d <= nodes_; ++d) {
-            if (d)
-                out += ",";
-            out += json::number(matrix_[s * (nodes_ + 1) + d]);
-        }
-        out += "]";
-    }
-    out += "],\"lookahead\":{";
-    bool first = true;
-    for (const auto &[lat, count] : lookahead_) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += json::quote(std::to_string(lat)) + ":" +
-               json::number(count);
-    }
-    out += "}}";
-    return out;
-}
-
-std::string
-selfprofSection(const SelfProfiler *prof, const LaneCensus *lanes,
-                const SelfProfRate &rate)
+selfprofSection(const SelfProfiler *prof, const SelfProfRate &rate)
 {
     std::string out =
         "{\"rate\":{\"sim_kips\":" + json::number(rate.simKips) +
@@ -350,8 +279,6 @@ selfprofSection(const SelfProfiler *prof, const LaneCensus *lanes,
         json::number(rate.heartbeatPeriodInsts) + "}";
     if (prof)
         out += ",\"wall\":" + prof->wallJson(rate.measureWallSec);
-    if (lanes)
-        out += ",\"lanes\":" + lanes->json();
     out += "}";
     return out;
 }

@@ -1,31 +1,14 @@
 /**
  * @file
- * Simulation self-profiling and lane-partition telemetry
- * (DESIGN.md §15).
+ * Simulation self-profiler (DESIGN.md §15).
  *
- * Two independent instruments share this header because both answer
- * the same question — is a parallel (PDES) split of one run worth it,
- * and along which seams? (ROADMAP item 1):
- *
- *  - SelfProfiler: a hierarchical wall-time profiler of the simulator
- *    itself. Scoped RAII timers (ProfScope) push frames onto a
- *    thread-local stack; each distinct (parent, site) pair becomes one
- *    node of a call tree with inclusive nanoseconds and call counts.
- *    Enabled by D2M_SELFPROF=1; when off, every ProfScope compiles to
- *    a single thread-local null check (the traceEvent() pattern), so
- *    instrumentation stays in hot paths permanently.
- *
- *  - LaneCensus: counts every simulated cross-component interaction
- *    (NoC messages, MD3/directory lookups, LLC accesses, cross-core
- *    invalidations) and classifies it against a prospective lane
- *    partition of D2M_LANES=k (cores striped node % k; the far-side
- *    MD3/LLC/memory endpoint is the shared service tier). It also
- *    keeps the full (node+1)² interaction matrix and the distribution
- *    of observed cross-endpoint latencies — the conservative PDES
- *    lookahead window — so tools/d2m_laneplan can re-evaluate any k
- *    post hoc from one stats document. Counters are pure functions of
- *    the simulated event stream: byte-identical across serial /
- *    parallel sweeps and across campaign resume.
+ * SelfProfiler is a hierarchical wall-time profiler of the simulator
+ * itself. Scoped RAII timers (ProfScope) push frames onto a
+ * thread-local stack; each distinct (parent, site) pair becomes one
+ * node of a call tree with inclusive nanoseconds and call counts.
+ * Enabled by D2M_SELFPROF=1; when off, every ProfScope compiles to a
+ * single thread-local null check (the traceEvent() pattern), so
+ * instrumentation stays in hot paths permanently.
  */
 
 #ifndef D2M_OBS_SELFPROF_HH
@@ -33,7 +16,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -218,120 +200,6 @@ class ProfScope
     SelfProfiler *prof_ = nullptr;
 };
 
-/** Lane-partition census for one run (D2M_LANES=k; 0 = off). */
-class LaneCensus
-{
-  public:
-    /** @param num_nodes cores/endpoints 0..N-1; endpoint N = far side.
-     *  @param k prospective lane count (cores striped node % k). */
-    LaneCensus(unsigned num_nodes, unsigned k);
-
-    /** Warmup boundary: zero every counter. */
-    void reset();
-
-    unsigned numNodes() const { return nodes_; }
-    unsigned lanes() const { return k_; }
-
-    /** Lane of endpoint @p ep (shared far-side tier = lane count). */
-    unsigned lane(std::uint32_t ep) const
-    {
-        return ep >= nodes_ ? k_ : ep % k_;
-    }
-
-    /** One demand access initiated by @p node (per-lane load). */
-    void noteAccess(std::uint32_t node)
-    {
-        ++nodeLoad_[node];
-        ++eventsTotal_;
-    }
-
-    /** One counted interconnect message with its observed latency. */
-    void
-    noteMessage(std::uint32_t src, std::uint32_t dst, std::uint64_t lat)
-    {
-        ++matrix_[src * (nodes_ + 1) + dst];
-        ++lookahead_[lat];
-        const unsigned ls = lane(src), ld = lane(dst);
-        if (ls == k_ || ld == k_)
-            ++msgShared_;
-        else if (ls == ld)
-            ++msgLocal_;
-        else
-            ++msgCross_;
-    }
-
-    /** One MD3 / directory consultation by @p node, with the service
-     * latency it contributes to the lookahead window. */
-    void noteSharedTier(std::uint32_t node, std::uint64_t lat)
-    {
-        (void)node;
-        ++sharedTierAccesses_;
-        ++lookahead_[lat];
-    }
-
-    /** One LLC data access by @p node served at @p endpoint (an NS
-     * slice's node id, or the far side for FS/baseline LLCs). */
-    void noteLlc(std::uint32_t node, std::uint32_t endpoint)
-    {
-        const unsigned ln = lane(node), le = lane(endpoint);
-        if (le == k_)
-            ++llcShared_;
-        else if (ln == le)
-            ++llcLocal_;
-        else
-            ++llcCross_;
-    }
-
-    /** One invalidation / LI update delivered to @p target on behalf
-     * of writer @p writer. */
-    void noteInvalidation(std::uint32_t writer, std::uint32_t target)
-    {
-        if (lane(writer) == lane(target))
-            ++invLocal_;
-        else
-            ++invCross_;
-    }
-
-    std::uint64_t messagesLocal() const { return msgLocal_; }
-    std::uint64_t messagesCross() const { return msgCross_; }
-    std::uint64_t messagesShared() const { return msgShared_; }
-    std::uint64_t invalidationsLocal() const { return invLocal_; }
-    std::uint64_t invalidationsCross() const { return invCross_; }
-    std::uint64_t llcLocal() const { return llcLocal_; }
-    std::uint64_t llcCross() const { return llcCross_; }
-    std::uint64_t llcShared() const { return llcShared_; }
-    std::uint64_t sharedTierAccesses() const
-    {
-        return sharedTierAccesses_;
-    }
-    const std::vector<std::uint64_t> &nodeLoad() const
-    {
-        return nodeLoad_;
-    }
-    const std::map<std::uint64_t, std::uint64_t> &lookahead() const
-    {
-        return lookahead_;
-    }
-
-    /** The "lanes" member of the selfprof JSON section. Every field
-     * is a simulated-event count: deterministic byte-for-byte. */
-    std::string json() const;
-
-  private:
-    unsigned nodes_;
-    unsigned k_;
-    std::uint64_t eventsTotal_ = 0;
-    std::vector<std::uint64_t> nodeLoad_;   //!< Accesses per node.
-    std::vector<std::uint64_t> matrix_;     //!< (nodes+1)² messages.
-    std::uint64_t msgLocal_ = 0, msgCross_ = 0, msgShared_ = 0;
-    std::uint64_t invLocal_ = 0, invCross_ = 0;
-    std::uint64_t llcLocal_ = 0, llcCross_ = 0, llcShared_ = 0;
-    std::uint64_t sharedTierAccesses_ = 0;
-    /** Observed latency -> count; std::map for sorted, deterministic
-     * JSON emission. The minimum key is the conservative lookahead. */
-    std::map<std::uint64_t, std::uint64_t> lookahead_;
-};
-
 /** Host-rate numbers folded into the selfprof section (satellite of
  * obs/profiler.hh: KIPS, heartbeats and phase wall-clocks now land in
  * the same "selfprof" JSON object as the timer tree). */
@@ -346,14 +214,12 @@ struct SelfProfRate
 
 /**
  * Assemble the complete "selfprof" run-row section:
- *   {"rate":{...}[,"wall":{...}][,"lanes":{...}]}
- * "wall" appears when @p prof is non-null (D2M_SELFPROF=1), "lanes"
- * when @p lanes is non-null (D2M_LANES>0). Rate fields reuse the
- * metrics field names (sim_kips, *_wall_sec) so every existing
- * host-timing normalizer strips them too.
+ *   {"rate":{...}[,"wall":{...}]}
+ * "wall" appears when @p prof is non-null (D2M_SELFPROF=1). Rate
+ * fields reuse the metrics field names (sim_kips, *_wall_sec) so every
+ * existing host-timing normalizer strips them too.
  */
 std::string selfprofSection(const SelfProfiler *prof,
-                            const LaneCensus *lanes,
                             const SelfProfRate &rate);
 
 } // namespace d2m::obs

@@ -174,5 +174,54 @@ TEST(Runner, MetricsAreInternallyConsistent)
                 1e-9);
 }
 
+NamedWorkload
+tinyWorkload()
+{
+    WorkloadParams p;
+    p.instructionsPerCore = 2'000;
+    return {"t", "t", p};
+}
+
+SweepOptions
+tinySweep()
+{
+    SweepOptions opts;
+    opts.verbose = false;
+    opts.warmupInstsPerCore = 500;
+    opts.jobs = 1;
+    // A cell that starts ends the process with a distinct code, so the
+    // death test below also proves the grid is rejected before any
+    // cell runs.
+    opts.preRunHook = [](const NamedWorkload &, unsigned) {
+        std::_Exit(7);
+    };
+    return opts;
+}
+
+TEST(RunnerDeathTest, ImpossibleGridIsRejectedBeforeAnyCell)
+{
+    setenv("D2M_NODES", "16", 1);
+    EXPECT_EXIT(runSweep({ConfigKind::Base2L, ConfigKind::D2mFs,
+                          ConfigKind::D2mNsR},
+                         {tinyWorkload()}, tinySweep()),
+                testing::ExitedWithCode(1),
+                "^fatal: D2M_NODES=16: config D2M-FS cannot be built: "
+                "LI encoding supports at most 8 nodes\n");
+    unsetenv("D2M_NODES");
+}
+
+TEST(Runner, BaselineGridRunsAtSixteenNodes)
+{
+    setenv("D2M_NODES", "16", 1);
+    SweepOptions opts = tinySweep();
+    opts.preRunHook = nullptr;
+    const auto rows = runSweep({ConfigKind::Base2L}, {tinyWorkload()},
+                               opts);
+    unsetenv("D2M_NODES");
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].status, "ok") << rows[0].errorMessage;
+    EXPECT_EQ(rows[0].instructions, 16u * 2'000u);
+}
+
 } // namespace
 } // namespace d2m

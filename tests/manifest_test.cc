@@ -70,24 +70,25 @@ TEST(Manifest, KeyTableIsWellFormed)
     }
 }
 
-TEST(Manifest, SelfprofAndLaneKeysParse)
+TEST(Manifest, ObsKeysParse)
 {
     Manifest m = parseManifestText(
-        "[obs]\nselfprof = 1\nselfprof_top = 15\nlanes = 4\n", "t");
+        "[obs]\nselfprof = 1\nselfprof_top = 15\nheartbeat_minsts = 4\n",
+        "t");
     ASSERT_EQ(m.entries.size(), 3u);
     EXPECT_EQ(m.entries[0].env, "D2M_SELFPROF");
     EXPECT_EQ(m.entries[0].value, "1");
     EXPECT_EQ(m.entries[1].env, "D2M_SELFPROF_TOP");
     EXPECT_EQ(m.entries[1].value, "15");
-    EXPECT_EQ(m.entries[2].env, "D2M_LANES");
+    EXPECT_EQ(m.entries[2].env, "D2M_HEARTBEAT");
     EXPECT_EQ(m.entries[2].value, "4");
 }
 
-TEST(ManifestDeathTest, NonNumericLanesIsFatal)
+TEST(ManifestDeathTest, NonNumericObsValueIsFatal)
 {
-    // The three observability keys added with the self-profiler are
-    // numeric: the manifest validator must reject junk values.
-    EXPECT_EXIT(parseManifestText("[obs]\nlanes = four\n", "t"),
+    // The self-profiler keys are numeric: the manifest validator must
+    // reject junk values.
+    EXPECT_EXIT(parseManifestText("[obs]\nselfprof_top = ten\n", "t"),
                 testing::ExitedWithCode(1), "not an unsigned integer");
     EXPECT_EXIT(parseManifestText("[obs]\nselfprof = yes\n", "t"),
                 testing::ExitedWithCode(1), "not an unsigned integer");
@@ -110,6 +111,16 @@ TEST(ManifestDeathTest, UnknownKeyIsFatal)
 {
     EXPECT_EXIT(parseManifestText("[grid]\nbogus = 1\n", "t"),
                 testing::ExitedWithCode(1), "unknown key 'bogus'");
+    // Retired keys of the removed lane-parallel mode: a stale manifest
+    // is rejected at the offending line, not silently run serially.
+    EXPECT_EXIT(
+        parseManifestText("[grid]\nseed = 1\nlane_jobs = 4\n", "t"),
+        testing::ExitedWithCode(1), "t:3: unknown key 'lane_jobs'");
+    EXPECT_EXIT(parseManifestText("[grid]\nlane_window = 200\n", "t"),
+                testing::ExitedWithCode(1),
+                "t:2: unknown key 'lane_window'");
+    EXPECT_EXIT(parseManifestText("[obs]\nselfprof = 1\nlanes = 4\n", "t"),
+                testing::ExitedWithCode(1), "t:3: unknown key 'lanes'");
 }
 
 TEST(ManifestDeathTest, DuplicateKeyIsFatal)

@@ -1,7 +1,6 @@
 /**
  * @file
- * Simulation self-profiler + lane-partition census tests
- * (DESIGN.md §15):
+ * Simulation self-profiler tests (DESIGN.md §15):
  *
  *  - timer-tree correctness: nesting, distinct (parent, site) nodes,
  *    call counts, self-vs-inclusive time, exception unwind, and the
@@ -10,33 +9,20 @@
  *    parallel sweep jobs each profile their own run),
  *  - the disabled-path overhead guard: a ProfScope with no attached
  *    profiler must stay a branch, not a clock read,
- *  - lane-census classification against the node % k striping with
- *    the far side as the shared service tier,
  *  - end-to-end coverage: on a real run the attributed tree must
- *    account for >= 90% of the measured-phase wall-clock,
- *  - determinism: with D2M_LANES set (profiling off) the stats-JSON
- *    document is byte-identical between serial and parallel sweeps
- *    and across a kill-and-resume campaign.
+ *    account for >= 90% of the measured-phase wall-clock.
  */
 
 #include <gtest/gtest.h>
 
-#include <csignal>
-#include <cstdio>
-#include <cstdlib>
 #include <chrono>
-#include <fstream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
-#include <sys/wait.h>
 #include <thread>
-#include <unistd.h>
-#include <vector>
 
 #include "cpu/multicore.hh"
 #include "harness/configs.hh"
 #include "harness/runner.hh"
-#include "harness/store.hh"
 #include "obs/selfprof.hh"
 #include "workload/suites.hh"
 
@@ -45,7 +31,6 @@ namespace d2m
 namespace
 {
 
-using obs::LaneCensus;
 using obs::ProfScope;
 using obs::ProfSite;
 using obs::SelfProfAttach;
@@ -214,74 +199,6 @@ TEST(SelfProfiler, DisabledScopeIsBranchNotClockRead)
         << ns_per << " ns per scope";
 }
 
-TEST(LaneCensus, ClassifiesAgainstStriping)
-{
-    // 4 cores, 2 lanes: lane 0 = {0, 2}, lane 1 = {1, 3}, endpoint 4
-    // (far side) = shared tier.
-    LaneCensus census(4, 2);
-    EXPECT_EQ(census.lane(0), 0u);
-    EXPECT_EQ(census.lane(3), 1u);
-    EXPECT_EQ(census.lane(4), 2u);
-
-    census.noteMessage(0, 2, 12);  // same lane
-    census.noteMessage(0, 1, 12);  // cross lane
-    census.noteMessage(1, 4, 12);  // to the shared tier
-    census.noteMessage(4, 3, 12);  // from the shared tier
-    EXPECT_EQ(census.messagesLocal(), 1u);
-    EXPECT_EQ(census.messagesCross(), 1u);
-    EXPECT_EQ(census.messagesShared(), 2u);
-
-    census.noteInvalidation(0, 2);
-    census.noteInvalidation(0, 3);
-    EXPECT_EQ(census.invalidationsLocal(), 1u);
-    EXPECT_EQ(census.invalidationsCross(), 1u);
-
-    census.noteLlc(0, 0);  // NS slice on the requester itself
-    census.noteLlc(1, 3);  // slice in the same lane
-    census.noteLlc(0, 1);  // slice in the other lane
-    census.noteLlc(2, 4);  // far-side LLC
-    EXPECT_EQ(census.llcLocal(), 2u);
-    EXPECT_EQ(census.llcCross(), 1u);
-    EXPECT_EQ(census.llcShared(), 1u);
-
-    census.noteSharedTier(2, 10);
-    EXPECT_EQ(census.sharedTierAccesses(), 1u);
-
-    census.noteAccess(2);
-    census.noteAccess(2);
-    EXPECT_EQ(census.nodeLoad()[2], 2u);
-
-    // Lookahead: min observed latency bounds the conservative window.
-    ASSERT_FALSE(census.lookahead().empty());
-    EXPECT_EQ(census.lookahead().begin()->first, 10u);
-    EXPECT_EQ(census.lookahead().at(12), 4u);
-
-    census.reset();
-    EXPECT_EQ(census.messagesLocal() + census.messagesCross() +
-                  census.messagesShared(),
-              0u);
-    EXPECT_TRUE(census.lookahead().empty());
-    EXPECT_EQ(census.nodeLoad()[2], 0u);
-}
-
-TEST(LaneCensus, JsonIsDeterministic)
-{
-    auto fill = [](LaneCensus &c) {
-        c.noteMessage(1, 0, 12);
-        c.noteMessage(0, 4, 12);
-        c.noteSharedTier(3, 10);
-        c.noteLlc(0, 2);
-        c.noteInvalidation(2, 1);
-        c.noteAccess(3);
-    };
-    LaneCensus a(4, 2), b(4, 2);
-    fill(a);
-    fill(b);
-    EXPECT_EQ(a.json(), b.json());
-    EXPECT_NE(a.json().find("\"k\":2"), std::string::npos);
-    EXPECT_NE(a.json().find("\"lookahead\":"), std::string::npos);
-}
-
 TEST(SelfProfiler, RealRunCoverageAtLeast90Percent)
 {
     WorkloadParams p;
@@ -316,200 +233,6 @@ TEST(SelfProfiler, RealRunCoverageAtLeast90Percent)
     EXPECT_NE(wall.find("\"unattributed_sec\":"), std::string::npos);
     EXPECT_NE(wall.find("\"coverage_pct\":"), std::string::npos);
     EXPECT_NE(wall.find("\"site\":\"kernel\""), std::string::npos);
-}
-
-// ---- determinism of the lane census under parallelism / resume ------
-
-std::vector<NamedWorkload>
-smallWorkloads()
-{
-    WorkloadParams p;
-    p.instructionsPerCore = 1'500;
-    p.sharedFootprint = 32 * 1024;
-    p.sharedFraction = 0.3;
-    std::vector<NamedWorkload> v;
-    for (int i = 0; i < 3; ++i) {
-        p.seed = 100 + i;
-        v.push_back({"sptest", "wl" + std::to_string(i), p});
-    }
-    return v;
-}
-
-const std::vector<ConfigKind> kConfigs = {
-    ConfigKind::Base2L, ConfigKind::D2mFs, ConfigKind::D2mNsR};
-
-/** Zero the numeric value following every @p key in a JSON string. */
-void
-zeroJsonField(std::string &doc, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    std::size_t pos = 0;
-    while ((pos = doc.find(needle, pos)) != std::string::npos) {
-        const std::size_t start = pos + needle.size();
-        std::size_t end = start;
-        while (end < doc.size() && doc[end] != ',' && doc[end] != '}')
-            ++end;
-        doc.replace(start, end - start, "0");
-        pos = start;
-    }
-}
-
-std::string
-normalizedDoc(std::string doc)
-{
-    zeroJsonField(doc, "sim_kips");
-    zeroJsonField(doc, "warmup_wall_sec");
-    zeroJsonField(doc, "measure_wall_sec");
-    return doc;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
-void
-removeTree(const std::string &dir)
-{
-    for (unsigned s = 0; s < ResultStore::kShards; ++s) {
-        char shard[40];
-        std::snprintf(shard, sizeof(shard), "/shard-%02u.jsonl", s);
-        std::remove((dir + shard).c_str());
-        std::remove((dir + shard + ".tmp").c_str());
-    }
-    ::rmdir(dir.c_str());
-}
-
-unsigned cellsStarted = 0;
-
-[[noreturn]] void
-childSweep(const std::string &storeDir, const std::string &jsonPath,
-           unsigned killAtCell)
-{
-    ::setenv("D2M_STORE_DIR", storeDir.c_str(), 1);
-    ::setenv("D2M_STATS_JSON", jsonPath.c_str(), 1);
-    ::setenv("D2M_LANES", "4", 1);
-    SweepOptions opts;
-    opts.verbose = false;
-    opts.warmupInstsPerCore = 500;
-    opts.jobs = 1;
-    opts.runTimeoutMs = 0;
-    opts.runRetries = 0;
-    if (killAtCell) {
-        opts.preRunHook = [killAtCell](const NamedWorkload &, unsigned) {
-            if (++cellsStarted == killAtCell)
-                ::kill(::getpid(), SIGKILL);
-        };
-    }
-    runSweep(kConfigs, smallWorkloads(), opts);
-    std::fflush(nullptr);
-    ::_exit(campaignExitCode(lastSweepOutcome()));
-}
-
-int
-runChild(const std::string &storeDir, const std::string &jsonPath,
-         unsigned killAtCell, int *termSig)
-{
-    const pid_t pid = ::fork();
-    if (pid == 0)
-        childSweep(storeDir, jsonPath, killAtCell);
-    int status = 0;
-    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
-    *termSig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-// Runs BEFORE the in-process sweep test below: the D2M_STATS_JSON
-// path is latched process-wide on first use, and forked children
-// inherit the latch — so no in-parent sweep may precede the forks.
-TEST(LaneCensus, KillAndResumeReplaysIdenticalCensus)
-{
-    ::setenv("D2M_BUILD_FINGERPRINT", "selfprof-resume-test", 1);
-    ::unsetenv("D2M_STORE_DIR");
-    ::unsetenv("D2M_STATS_JSON");
-
-    const std::string tmp = testing::TempDir();
-    const std::string store = tmp + "selfprof_store";
-    const std::string storeRef = tmp + "selfprof_store_ref";
-    const std::string jsonA = tmp + "selfprof_resume_a.json";
-    const std::string jsonB = tmp + "selfprof_resume_b.json";
-    const std::string jsonC = tmp + "selfprof_resume_c.json";
-    removeTree(store);
-    removeTree(storeRef);
-
-    // Kill mid-campaign, resume, and compare against an
-    // uninterrupted reference: the resumed document (lane census
-    // included, replayed verbatim from the store for pre-kill cells)
-    // must be byte-identical after host-timing normalization.
-    int sig = 0;
-    runChild(store, jsonA, /*killAtCell=*/4, &sig);
-    ASSERT_EQ(sig, SIGKILL);
-    int code = runChild(store, jsonB, 0, &sig);
-    ASSERT_EQ(code, kCampaignExitClean);
-    code = runChild(storeRef, jsonC, 0, &sig);
-    ASSERT_EQ(code, kCampaignExitClean);
-
-    const std::string docB = readFile(jsonB);
-    const std::string docC = readFile(jsonC);
-    ASSERT_FALSE(docB.empty());
-    ASSERT_FALSE(docC.empty());
-    EXPECT_NE(docB.find("\"lanes\":{\"k\":4"), std::string::npos);
-    EXPECT_EQ(normalizedDoc(docB), normalizedDoc(docC));
-
-    std::remove(jsonA.c_str());
-    std::remove(jsonB.c_str());
-    std::remove(jsonC.c_str());
-    removeTree(store);
-    removeTree(storeRef);
-    ::unsetenv("D2M_BUILD_FINGERPRINT");
-}
-
-TEST(LaneCensus, SerialAndParallelSweepsEmitIdenticalCensus)
-{
-    const std::string json_path =
-        testing::TempDir() + "selfprof_lanes_stats.json";
-    ::setenv("D2M_STATS_JSON", json_path.c_str(), 1);
-    ::setenv("D2M_LANES", "4", 1);
-
-    SweepOptions serial_opts;
-    serial_opts.verbose = false;
-    serial_opts.warmupInstsPerCore = 500;
-    serial_opts.jobs = 1;
-    SweepOptions par_opts = serial_opts;
-    par_opts.jobs = 4;
-
-    const auto workloads = smallWorkloads();
-    const auto serial = runSweep(kConfigs, workloads, serial_opts);
-    const auto parallel = runSweep(kConfigs, workloads, par_opts);
-    ASSERT_EQ(serial.size(), parallel.size());
-
-    std::ifstream in(json_path);
-    ASSERT_TRUE(in.good()) << json_path;
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(in, line);)
-        lines.push_back(line);
-    ASSERT_EQ(lines.size(), 2 * serial.size() + 2);
-    auto row_at = [&](std::size_t idx) {
-        std::string row = lines[1 + idx];
-        if (!row.empty() && row.back() == ',')
-            row.pop_back();
-        return normalizedDoc(std::move(row));
-    };
-    for (std::size_t r = 0; r < serial.size(); ++r) {
-        const std::string s = row_at(r);
-        EXPECT_NE(s.find("\"selfprof\":{"), std::string::npos)
-            << "lane census missing from row " << r;
-        EXPECT_NE(s.find("\"lanes\":{\"k\":4"), std::string::npos);
-        EXPECT_EQ(s, row_at(serial.size() + r)) << "row " << r;
-    }
-
-    std::remove(json_path.c_str());
-    ::unsetenv("D2M_STATS_JSON");
-    ::unsetenv("D2M_LANES");
 }
 
 } // namespace
