@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "harness/report.hh"
 #include "harness/results_json.hh"
 #include "harness/runner.hh"
@@ -58,6 +59,22 @@ banner(const char *what, const char *paper_ref)
                 static_cast<unsigned long long>(benchInsts()));
     std::printf("==================================================="
                 "=========================\n\n");
+}
+
+/**
+ * geomean(@p ratios) through @p fmt, which receives the geomean and
+ * its percent change; "n/a" when there are no ratios. A filtered grid
+ * (D2M_CONFIG_FILTER=Base) has no (Base-2L, config) pair, and
+ * geomean({}) == 0 would print as "0.00x (-100%)".
+ */
+inline std::string
+geomeanSummary(const std::vector<double> &ratios,
+               const char *fmt = "%.2fx (%+.0f%%)")
+{
+    if (ratios.empty())
+        return "n/a";
+    const double g = geomean(ratios);
+    return vformat(fmt, g, 100.0 * (g - 1));
 }
 
 /** Workloads after env filtering (D2M_SUITE_FILTER / D2M_BENCH_FILTER). */

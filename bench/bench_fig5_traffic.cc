@@ -64,12 +64,11 @@ main()
             }
         }
         if (!ratios.empty()) {
-            std::printf("  %-10s %.2fx (%+.0f%%)\n", suite.c_str(),
-                        geomean(ratios), 100.0 * (geomean(ratios) - 1));
+            std::printf("  %-10s %s\n", suite.c_str(),
+                        geomeanSummary(ratios).c_str());
         }
     }
-    std::printf("  %-10s %.2fx (%+.0f%%)   [paper: -70%% average]\n",
-                "ALL", geomean(all_ratios),
-                100.0 * (geomean(all_ratios) - 1));
+    std::printf("  %-10s %s   [paper: -70%% average]\n", "ALL",
+                geomeanSummary(all_ratios).c_str());
     return d2m::bench::benchExitCode();
 }

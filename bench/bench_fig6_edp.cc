@@ -41,7 +41,8 @@ main()
     }
     std::printf("%s\n", table.render().c_str());
 
-    auto overall = [&](const char *config, const char *base) {
+    auto overall = [&](const char *config, const char *base,
+                       const char *format = "%.2fx (%+.0f%%)") {
         std::vector<double> ratios;
         for (const auto &name : benchmarksIn(rows)) {
             const Metrics *b = findRow(rows, name, base);
@@ -49,19 +50,18 @@ main()
             if (b && m && b->edp > 0)
                 ratios.push_back(m->edp / b->edp);
         }
-        return geomean(ratios);
+        return geomeanSummary(ratios, format);
     };
 
     std::printf("EDP of D2M-NS-R (geomean):\n");
-    std::printf("  vs Base-2L: %.2fx (%+.0f%%)   [paper: -54%%]\n",
-                overall("D2M-NS-R", "Base-2L"),
-                100.0 * (overall("D2M-NS-R", "Base-2L") - 1));
-    std::printf("  vs Base-3L: %.2fx (%+.0f%%)   [paper: -40%%]\n",
-                overall("D2M-NS-R", "Base-3L"),
-                100.0 * (overall("D2M-NS-R", "Base-3L") - 1));
-    std::printf("Per-step EDP vs Base-2L (geomean): FS %.2fx, NS %.2fx, "
-                "NS-R %.2fx\n",
-                overall("D2M-FS", "Base-2L"), overall("D2M-NS", "Base-2L"),
-                overall("D2M-NS-R", "Base-2L"));
+    std::printf("  vs Base-2L: %s   [paper: -54%%]\n",
+                overall("D2M-NS-R", "Base-2L").c_str());
+    std::printf("  vs Base-3L: %s   [paper: -40%%]\n",
+                overall("D2M-NS-R", "Base-3L").c_str());
+    std::printf("Per-step EDP vs Base-2L (geomean): FS %s, NS %s, "
+                "NS-R %s\n",
+                overall("D2M-FS", "Base-2L", "%.2fx").c_str(),
+                overall("D2M-NS", "Base-2L", "%.2fx").c_str(),
+                overall("D2M-NS-R", "Base-2L", "%.2fx").c_str());
     return d2m::bench::benchExitCode();
 }

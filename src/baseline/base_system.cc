@@ -121,7 +121,7 @@ BaselineSystem::invalidateInNode(NodeId n, Addr line_addr,
 Cycles
 BaselineSystem::invalidateSharers(ClassicLine &llc_line, NodeId except)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::Invalidate);
+    obs::ProfScope prof(obs::ProfSite::Invalidate);
     bool any = false;
     for (NodeId n = 0; n < params_.numNodes; ++n) {
         if (n == except || !((llc_line.sharers >> n) & 1))
@@ -181,7 +181,7 @@ BaselineSystem::llcService(NodeId node, Addr line_addr, bool want_excl,
                            Cycles &lat, ServiceLevel &level,
                            Mesi &granted)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::DirProtocol);
+    obs::ProfScope prof(obs::ProfSite::DirProtocol);
     lat += noc_.send(node, farSide(),
                      want_excl ? MsgType::ReadExReq : MsgType::ReadReq);
     // Associative LLC tag search + directory consultation.
@@ -356,7 +356,7 @@ BaselineSystem::installPrivate(NodeId node, AccessType type, Addr line_addr,
 AccessResult
 BaselineSystem::access(NodeId node, const MemAccess &acc, Tick)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::MemAccess);
+    obs::ProfScope prof(obs::ProfSite::MemAccess);
     if (faults_) [[unlikely]]
         faults_->onAccess();
     ++stats_.accesses;

@@ -26,7 +26,6 @@
 #include "mem/main_memory.hh"
 #include "mem/page_table.hh"
 #include "noc/interconnect.hh"
-#include "obs/selfprof.hh"
 #include "sim/sim_object.hh"
 
 namespace d2m
@@ -91,16 +90,6 @@ class MemorySystem : public SimObject
     FaultInjector *faultInjector() { return faults_.get(); }
     const FaultInjector *faultInjector() const { return faults_.get(); }
 
-    /** Cache the run's self-profiler (null = off) so hot-path scopes
-     * test a member pointer instead of the thread-local; runMulticore
-     * wires it for the duration of the run. */
-    void
-    setSelfProf(obs::SelfProfiler *prof)
-    {
-        selfProf_ = prof;
-        noc_.setSelfProf(prof);
-    }
-
   protected:
     /** Endpoint id of the far side of the interconnect. */
     std::uint32_t farSide() const { return params_.numNodes; }
@@ -112,7 +101,6 @@ class MemorySystem : public SimObject
     EnergyAccount energy_;
     std::unique_ptr<FaultStats> faultStats_;
     std::unique_ptr<FaultInjector> faults_;
-    obs::SelfProfiler *selfProf_ = nullptr;
 };
 
 } // namespace d2m

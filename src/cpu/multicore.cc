@@ -39,25 +39,12 @@ runMulticore(MemorySystem &system,
     obs::SimRateProfiler profiler;
     std::uint64_t total_committed = 0;
 
-    // Self-profiler binding for this thread, for the duration of this
-    // run (parallel sweep jobs each carry their own through
-    // RunOptions, like the snapshotter). ProfScopes below are single
-    // null checks when opts.selfprof is absent.
-    obs::SelfProfAttach selfprofAttach(opts.selfprof);
-    // Hoisted once: the in-loop scopes test this register-resident
-    // pointer instead of re-reading the thread-local every scope, and
-    // the memory system caches it as a member for the same reason.
-    // Cleared on exit so a reused system never dangles into a
-    // destroyed profiler.
-    obs::SelfProfiler *const sp = opts.selfprof;
-    system.setSelfProf(sp);
-    struct SelfProfUnwire
-    {
-        MemorySystem &sys;
-        ~SelfProfUnwire() { sys.setSelfProf(nullptr); }
-    } selfprofUnwire{system};
-
     unsigned remaining = n;
+
+    // Root scope for the rest of the run: the loop's own glue, and
+    // any preemption that lands in it, counts as "kernel" instead of
+    // unattributed time.
+    obs::ProfScope kernelScope(obs::ProfSite::Kernel);
 
     while (remaining > 0) {
         if (opts.progress) [[unlikely]] {
@@ -87,8 +74,8 @@ runMulticore(MemorySystem &system,
                                              debug::curTick);
             system.resetStats();
             profiler.phaseReset();
-            // No ProfScope is open between loop iterations, so the
-            // timer tree resets cleanly to the measured phase.
+            // Drop the warmup samples: the profile covers exactly the
+            // measured phase.
             if (opts.selfprof) [[unlikely]]
                 opts.selfprof->phaseReset();
             // Marker so post-warmup aggregates recomputed from the
@@ -104,18 +91,10 @@ runMulticore(MemorySystem &system,
             result.lateHitsI = result.lateHitsD = 0;
             result.mergedMissesI = result.mergedMissesD = 0;
         }
-        // Everything below is one simulated-access iteration. A single
-        // root scope spanning it makes the nested sites' own
-        // enter/leave overhead attributed (inside "kernel") instead of
-        // unattributed gap, so the tree honestly covers the measured
-        // phase; it opens after the warmup reset above so no scope is
-        // ever live across a phaseReset().
-        obs::ProfScope iterScope(sp, obs::ProfSite::Kernel);
-
         // Pick the active core with the smallest issue clock.
         unsigned best = n;
         {
-            obs::ProfScope ps(sp, obs::ProfSite::Sched);
+            obs::ProfScope ps(obs::ProfSite::Sched);
             for (unsigned i = 0; i < n; ++i) {
                 if (active[i] && (best == n ||
                                   cores[i].now() < cores[best].now())) {
@@ -127,7 +106,7 @@ runMulticore(MemorySystem &system,
 
         MemAccess acc;
         {
-            obs::ProfScope ps(sp, obs::ProfSite::Workload);
+            obs::ProfScope ps(obs::ProfSite::Workload);
             if (!streams[best]->next(acc)) {
                 active[best] = false;
                 --remaining;
@@ -139,7 +118,7 @@ runMulticore(MemorySystem &system,
         // stable under repeated translation.
         Addr paddr;
         {
-            obs::ProfScope ps(sp, obs::ProfSite::Translate);
+            obs::ProfScope ps(obs::ProfSite::Translate);
             paddr = system.pageTable().translate(acc.asid, acc.vaddr);
         }
         const Addr line_addr = paddr >> system.params().lineShift();
@@ -147,19 +126,18 @@ runMulticore(MemorySystem &system,
 
         if (acc.instCount > 0) {
             {
-                obs::ProfScope ps(sp, obs::ProfSite::CoreModel);
+                obs::ProfScope ps(obs::ProfSite::CoreModel);
                 core.issueInstructions(acc.instCount);
                 core.countInstructions(acc.instCount);
             }
             total_committed += acc.instCount;
+            // Cumulative per-site samples at every heartbeat: the
+            // chrome-trace converter renders them as counter tracks on
+            // the sim timeline.
             if (profiler.maybeHeartbeat(total_committed,
-                                        result.accesses)) {
-                ++result.heartbeats;
-                // Cumulative per-site counters at every heartbeat:
-                // the chrome-trace converter renders them as counter
-                // tracks on the sim timeline.
-                if (opts.selfprof) [[unlikely]]
-                    opts.selfprof->emitTraceCounters();
+                                        result.accesses) &&
+                opts.selfprof) [[unlikely]] {
+                opts.selfprof->emitTraceCounters();
             }
         }
 
@@ -180,7 +158,7 @@ runMulticore(MemorySystem &system,
         ++result.accesses;
         result.totalAccessLatency += res.latency;
         if (opts.snapshotter) [[unlikely]] {
-            obs::ProfScope ps(sp, obs::ProfSite::Snapshot);
+            obs::ProfScope ps(obs::ProfSite::Snapshot);
             opts.snapshotter->tick(total_committed, core.now());
         }
 
@@ -199,7 +177,7 @@ runMulticore(MemorySystem &system,
         }
 
         {
-            obs::ProfScope ps(sp, obs::ProfSite::CoreModel);
+            obs::ProfScope ps(obs::ProfSite::CoreModel);
             core.issueMemAccess(line_addr, res.latency, res.l1Miss,
                                 isIFetch(acc.type));
         }
@@ -207,7 +185,7 @@ runMulticore(MemorySystem &system,
         // Golden-memory value checking: the global interleaving is the
         // architectural order.
         if (opts.checkValues) {
-            obs::ProfScope ps(sp, obs::ProfSite::ValueCheck);
+            obs::ProfScope ps(obs::ProfSite::ValueCheck);
             if (isWrite(acc.type)) {
                 golden.store(line_addr, acc.storeValue);
             } else {
@@ -228,7 +206,7 @@ runMulticore(MemorySystem &system,
 
         if (opts.invariantCheckPeriod &&
             result.accesses % opts.invariantCheckPeriod == 0) {
-            obs::ProfScope ps(sp, obs::ProfSite::Invariants);
+            obs::ProfScope ps(obs::ProfSite::Invariants);
             // The checker reads raw state, so give the detection layer
             // a chance to heal pending corruption first -- exactly what
             // a real design's background scrubber guarantees.
@@ -263,6 +241,8 @@ runMulticore(MemorySystem &system,
     result.instructions -= std::min(result.instructions, insts_at_reset);
 
     profiler.finish(result.instructions);
+    if (opts.selfprof) [[unlikely]]
+        opts.selfprof->stop();
     result.warmupWallSec = profiler.warmupWallSec();
     result.measureWallSec = profiler.measureWallSec();
     result.simKips = profiler.kips();

@@ -51,7 +51,6 @@ struct RunResult
     double warmupWallSec = 0;   //!< Wall-clock spent in warmup.
     double measureWallSec = 0;  //!< Wall-clock spent measured.
     double simKips = 0;         //!< Measured kilo-insts / host second.
-    std::uint64_t heartbeats = 0;  //!< Progress heartbeats emitted.
 };
 
 /** Options controlling a run. */
@@ -76,10 +75,10 @@ struct RunOptions
     obs::StatSnapshotter *snapshotter = nullptr;
     /**
      * Self-profiler for THIS run (null = disabled; see
-     * obs/selfprof.hh). Owned by the caller like the snapshotter; the
-     * run loop attaches it to the executing thread, resets it at the
-     * warmup boundary, and emits its chrome-trace counters at each
-     * heartbeat.
+     * obs/selfprof.hh). Owned by the caller like the snapshotter and
+     * built on the thread that calls runMulticore(), whose sites it
+     * samples; the run loop drops its warmup samples, emits its
+     * chrome-trace counters at each heartbeat and stops it at the end.
      */
     obs::SelfProfiler *selfprof = nullptr;
 

@@ -218,7 +218,7 @@ D2mSystem::ActiveMd
 D2mSystem::lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
                           Cycles &lat, unsigned &md_level)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::MdLookup);
+    obs::ProfScope prof(obs::ProfSite::MdLookup);
     NodeCtx &ctx = nodes_[node];
     auto &md1 = md1For(node, side_i);
 
@@ -292,7 +292,7 @@ D2mSystem::ActiveMd
 D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
                  std::uint64_t pregion, Cycles &lat)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::Md3);
+    obs::ProfScope prof(obs::ProfSite::Md3);
     ++stats_.dirIndirections;
     ++events_.md3Lookups;
     DTRACE(MD, this, "node%u MD miss region 0x%llx: case D through MD3",
@@ -722,7 +722,7 @@ D2mSystem::invalidateLineAtNode(NodeId n, std::uint64_t pregion,
                                 unsigned line_idx, Addr line_addr,
                                 const LocationInfo &new_master)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::Invalidate);
+    obs::ProfScope prof(obs::ProfSite::Invalidate);
     ++stats_.invalidationsReceived;
     ActiveMd amd = activeMdFor(n, pregion);
     panic_if(!amd.tracked(), "Inv for an untracked region");
@@ -1082,7 +1082,7 @@ D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
                            bool invalidate_master, Cycles &lat,
                            ServiceLevel &level, bool &was_mru)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::FetchMaster);
+    obs::ProfScope prof(obs::ProfSite::FetchMaster);
     was_mru = false;
     // One LI hop per master indirection: the requester follows its
     // location info straight to the holder (no tag probes on the way).
@@ -1135,7 +1135,7 @@ D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
         return value;
       }
       case LiKind::Mem: {
-        obs::ProfScope mem_prof(selfProf_, obs::ProfSite::Memory);
+        obs::ProfScope mem_prof(obs::ProfSite::Memory);
         lat += noc_.send(node, farSide(), MsgType::ReadReq);
         lat += params_.lat.dram;
         ++stats_.dramAccesses;
@@ -1198,7 +1198,7 @@ std::uint64_t
 D2mSystem::caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
                  Addr line_addr, Cycles &lat)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::CohUpgrade);
+    obs::ProfScope prof(obs::ProfSite::CohUpgrade);
     ++events_.c;
     ++stats_.dirIndirections;
     const unsigned idx = lineIdxOf(line_addr);
@@ -1345,7 +1345,7 @@ D2mSystem::pressureEpoch(Tick now)
 AccessResult
 D2mSystem::access(NodeId node, const MemAccess &acc, Tick now)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::MemAccess);
+    obs::ProfScope prof(obs::ProfSite::MemAccess);
     pressureEpoch(now);
     if (faults_) [[unlikely]]
         faults_->onAccess();
@@ -1380,7 +1380,7 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                        ActiveMd md, std::uint64_t pregion, Addr line_addr,
                        unsigned md_level, Cycles lat)
 {
-    obs::ProfScope prof(selfProf_, obs::ProfSite::ServiceLine);
+    obs::ProfScope prof(obs::ProfSite::ServiceLine);
     const unsigned idx = lineIdxOf(line_addr);
     const bool store = isWrite(acc.type);
     AccessResult res;

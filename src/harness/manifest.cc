@@ -121,7 +121,6 @@ manifestKeys()
         {"obs", "interval_csv", "D2M_INTERVAL_CSV", false},
         {"obs", "bench_json_dir", "D2M_BENCH_JSON_DIR", false},
         {"obs", "selfprof", "D2M_SELFPROF", true},
-        {"obs", "selfprof_top", "D2M_SELFPROF_TOP", true},
     };
     return keys;
 }

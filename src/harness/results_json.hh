@@ -74,8 +74,8 @@ void exportRunJson(const Metrics &m, MemorySystem &system,
  * campaign layer stores this verbatim string so a resumed sweep can
  * re-emit the row byte-identically without re-running anything.
  * @p selfprof, when non-empty, is a prebuilt "selfprof" JSON object
- * (obs::selfprofSection) embedded verbatim as the row's "selfprof"
- * member.
+ * ({"wall": obs::SelfProfiler::wallJson()}) embedded verbatim as the
+ * row's "selfprof" member.
  */
 std::string buildRunRow(const Metrics &m, MemorySystem &system,
                         const obs::StatSnapshotter *intervals = nullptr,

@@ -138,22 +138,17 @@ runOneImpl(ConfigKind kind, const NamedWorkload &wl,
     auto snapshotter = obs::StatSnapshotter::fromEnv(*system,
                                                      ctx.intervalCsv);
     ropts.snapshotter = snapshotter.get();
-    // Per-run self-profiler (D2M_SELFPROF): same ownership story as
-    // the snapshotter — one instance per run, threaded through
-    // RunOptions, never shared across sweep jobs.
+    // Per-run self-profiler (D2M_SELFPROF): one instance per run,
+    // built here because it samples the thread that runs the loop.
     auto selfprof = obs::SelfProfiler::fromEnv();
     ropts.selfprof = selfprof.get();
     const RunResult run = runMulticore(*system, streams, ropts);
     Metrics m = collectMetrics(kind, wl.suite, wl.name, *system, run);
     std::string sp;
     if (selfprof) {
-        const obs::SelfProfRate rate{
-            run.simKips, run.warmupWallSec, run.measureWallSec,
-            run.heartbeats, envU64("D2M_HEARTBEAT", 0) * 1'000'000};
-        sp = obs::selfprofSection(selfprof.get(), rate);
+        sp = "{\"wall\":" + selfprof->wallJson(run.measureWallSec) + "}";
+        emit(ctx, selfprof->table(run.measureWallSec));
     }
-    if (selfprof)
-        emit(ctx, selfprof->topTable(run.measureWallSec));
     std::string row;
     if (ctx.rowOut || !resultsJsonPath().empty())
         row = buildRunRow(m, *system, snapshotter.get(), sp);

@@ -36,8 +36,12 @@ enum CancelReason : int
     kCancelDrain = 2,    //!< SIGINT/SIGTERM campaign drain.
 };
 
-/** Per-cell liveness + cancellation mailbox (one per sweep slot). */
-struct WatchdogClient
+/**
+ * Per-cell liveness + cancellation mailbox (one per sweep slot). The
+ * run loop stores to it on every access, so each one gets its own
+ * cache line: adjacent cells run on different pool threads.
+ */
+struct alignas(64) WatchdogClient
 {
     std::atomic<std::uint64_t> progress{0};
     /** Committed instructions so far (campaign progress stream; the

@@ -70,7 +70,7 @@ class Interconnect : public SimObject
                  "bad interconnect endpoint %u -> %u", src, dst);
         if (src == dst)
             return 0;  // near-side access: never crosses the NoC
-        obs::ProfScope prof(selfProf_, obs::ProfSite::NocSend);
+        obs::ProfScope prof(obs::ProfSite::NocSend);
         const unsigned bytes = msgBytes(type, lineSize_);
         ++totalMessages;
         totalBytes += bytes;
@@ -118,8 +118,6 @@ class Interconnect : public SimObject
     /** Bind the fault injector modeling link drops/delays. */
     void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
 
-    void setSelfProf(obs::SelfProfiler *prof) { selfProf_ = prof; }
-
     /**
      * Multicast @p type from @p src to every node whose bit is set in
      * @p dest_mask (excluding @p src itself).
@@ -163,7 +161,6 @@ class Interconnect : public SimObject
     unsigned lineSize_;
     Cycles hopLatency_;
     FaultInjector *faults_ = nullptr;
-    obs::SelfProfiler *selfProf_ = nullptr;
     std::array<std::uint64_t, static_cast<size_t>(MsgType::NUM_TYPES)>
         perType_;
 };

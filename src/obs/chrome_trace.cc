@@ -182,14 +182,14 @@ chromeTraceFromJsonl(std::istream &in, std::ostream &out,
             ev.body += ",\"args\":{\"kips\":" +
                        json::number(u64Field(rec, "kips")) + "}}";
         } else if (kind == "selfprof") {
-            // One counter track per profiled site: cumulative host
-            // microseconds sampled at each heartbeat.
+            // One counter track per profiled site: its cumulative
+            // self samples at each heartbeat.
             sawSim = true;
             const std::string name =
                 "selfprof_" + rec["site"].asString();
             ev.body = head("C", kPidSim, 0, ts, name.c_str(), "sim");
-            ev.body += ",\"args\":{\"us\":" +
-                       json::number(u64Field(rec, "us")) + "}}";
+            ev.body += ",\"args\":{\"samples\":" +
+                       json::number(u64Field(rec, "samples")) + "}}";
         } else {
             // access_issue duplicates the completion slice; unknown
             // kinds from newer traces are skipped, not an error.

@@ -9,7 +9,7 @@ namespace d2m::debug
 {
 
 std::uint32_t enabledMask = 0;
-thread_local Tick curTick = 0;
+constinit thread_local Tick curTick = 0;
 
 namespace
 {

@@ -76,9 +76,9 @@ const char *allFlagNames();
  * (cpu/multicore.cc) so trace lines and trace records can be stamped
  * from anywhere without threading a clock through every call.
  * thread_local: each parallel sweep job (harness/pool.hh) drives its
- * own system with its own clock.
+ * own system with its own clock. constinit, like obs::globalSink.
  */
-extern thread_local Tick curTick;
+extern constinit thread_local Tick curTick;
 
 inline void setCurTick(Tick t) { curTick = t; }
 

@@ -10,7 +10,7 @@
 namespace d2m::obs
 {
 
-thread_local SelfProfiler *activeSelfProf = nullptr;
+constinit thread_local std::uint64_t sitePath = 0;
 
 namespace
 {
@@ -26,10 +26,71 @@ constexpr const char *kSiteNames[] = {
 static_assert(sizeof(kSiteNames) / sizeof(kSiteNames[0]) ==
               static_cast<std::size_t>(ProfSite::NUM_SITES));
 
-std::uint64_t
-toUs(std::uint64_t ns)
+constexpr std::uint64_t kSiteMask = (1u << kSiteBits) - 1;
+
+using PathCounts = FlatMap<std::uint64_t, std::uint64_t>;
+
+/** Sites of @p path, outermost first. Stops at a slot that names no
+ * site, which only a path deeper than the word can hold produces. */
+std::vector<ProfSite>
+pathSites(std::uint64_t path)
 {
-    return ns / 1000;
+    std::vector<ProfSite> sites;
+    for (; path; path >>= kSiteBits) {
+        const std::uint64_t code = path & kSiteMask;
+        if (code == 0 || code > static_cast<std::uint64_t>(
+                                    ProfSite::NUM_SITES)) {
+            break;
+        }
+        sites.push_back(static_cast<ProfSite>(code - 1));
+    }
+    std::reverse(sites.begin(), sites.end());
+    return sites;
+}
+
+std::uint64_t
+totalSamples(const PathCounts &counts)
+{
+    std::uint64_t n = 0;
+    for (const auto &[path, c] : counts)
+        n += c;
+    return n;
+}
+
+/** Tree of @p counts, parents before children, siblings in site-enum
+ * order: inserting the paths in lexicographic order creates the nodes
+ * in exactly that pre-order. Nodes link by index, never by pointer,
+ * because push_back moves them. */
+std::vector<SelfProfiler::Node>
+buildTree(const PathCounts &counts)
+{
+    std::vector<std::pair<std::vector<ProfSite>, std::uint64_t>> paths;
+    for (const auto &[path, c] : counts) {
+        if (path)
+            paths.emplace_back(pathSites(path), c);
+    }
+    std::sort(paths.begin(), paths.end());
+
+    std::vector<SelfProfiler::Node> nodes;
+    for (const auto &[sites, c] : paths) {
+        std::int32_t parent = -1;
+        for (ProfSite site : sites) {
+            auto idx = static_cast<std::int32_t>(nodes.size()) - 1;
+            while (idx >= 0 && (nodes[idx].parent != parent ||
+                                nodes[idx].site != site)) {
+                --idx;
+            }
+            if (idx < 0) {
+                idx = static_cast<std::int32_t>(nodes.size());
+                nodes.push_back({site, parent});
+            }
+            nodes[idx].samples += c;
+            parent = idx;
+        }
+        if (parent >= 0)
+            nodes[parent].selfSamples += c;
+    }
+    return nodes;
 }
 
 } // namespace
@@ -40,207 +101,173 @@ profSiteName(ProfSite s)
     return kSiteNames[static_cast<std::size_t>(s)];
 }
 
+std::string
+profPathName(std::uint64_t path)
+{
+    std::string name;
+    for (ProfSite site : pathSites(path)) {
+        if (!name.empty())
+            name += '/';
+        name += profSiteName(site);
+    }
+    return name;
+}
+
 std::unique_ptr<SelfProfiler>
 SelfProfiler::fromEnv()
 {
     if (envU64("D2M_SELFPROF", 0) == 0)
         return nullptr;
-    return std::make_unique<SelfProfiler>(envU64("D2M_SELFPROF_TOP", 10));
+    return std::make_unique<SelfProfiler>();
+}
+
+SelfProfiler::SelfProfiler() : target_(&sitePath)
+{
+    sampler_ = std::thread([this] { sampleLoop(); });
+}
+
+void
+SelfProfiler::sampleLoop()
+{
+    while (!stopping_.load(std::memory_order_relaxed)) {
+        std::this_thread::sleep_for(kSamplePeriod);
+        // Read under the lock, so a sample is either wholly before or
+        // wholly after a phaseReset().
+        std::lock_guard<std::mutex> lock(mu_);
+        ++counts_[__atomic_load_n(target_, __ATOMIC_RELAXED)];
+    }
 }
 
 void
 SelfProfiler::phaseReset()
 {
-    // Zero time/counts but keep the node table: open frames (none in
-    // the run loop at the warmup boundary, but possible for ad-hoc
-    // users) keep valid node indices either way.
-    for (Node &n : nodes_) {
-        n.ns = 0;
-        n.calls = 0;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    counts_.clear();
 }
 
 void
-SelfProfiler::enter(ProfSite site)
+SelfProfiler::stop()
 {
-    // Stamp before the child search so the profiler's own bookkeeping
-    // is attributed to the scope being opened rather than falling into
-    // the unattributed gap between scopes.
-    const Clock::time_point t0 = Clock::now();
-    const std::int32_t parent =
-        stack_.empty() ? -1 : stack_.back().node;
-    std::int32_t idx = parent < 0 ? rootFirst_
-                                  : nodes_[parent].firstChild;
-    std::int32_t prev = -1;
-    while (idx >= 0 && nodes_[idx].site != site) {
-        prev = idx;
-        idx = nodes_[idx].nextSibling;
-    }
-    if (idx < 0) {
-        idx = static_cast<std::int32_t>(nodes_.size());
-        nodes_.push_back({site, parent, 0, 0, -1, -1});
-        if (prev >= 0)
-            nodes_[prev].nextSibling = idx;
-        else if (parent >= 0)
-            nodes_[parent].firstChild = idx;
-        else
-            rootFirst_ = idx;
-    }
-    stack_.push_back({idx, t0});
+    stopping_.store(true, std::memory_order_relaxed);
+    if (sampler_.joinable())
+        sampler_.join();
 }
 
-void
-SelfProfiler::leave()
+FlatMap<std::uint64_t, std::uint64_t>
+SelfProfiler::countsCopy() const
 {
-    panic_if(stack_.empty(), "ProfScope leave() with no open frame");
-    const Frame f = stack_.back();
-    stack_.pop_back();
-    nodes_[f.node].ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now() - f.t0)
-            .count());
-    ++nodes_[f.node].calls;
+    std::lock_guard<std::mutex> lock(mu_);
+    return counts_;
 }
 
 std::uint64_t
-SelfProfiler::selfNs(std::size_t i) const
+SelfProfiler::samples() const
 {
-    std::uint64_t children = 0;
-    for (std::int32_t c = nodes_[i].firstChild; c >= 0;
-         c = nodes_[c].nextSibling) {
-        children += nodes_[c].ns;
-    }
-    const std::uint64_t incl = nodes_[i].ns;
-    return incl > children ? incl - children : 0;
+    return totalSamples(countsCopy());
 }
 
-std::uint64_t
-SelfProfiler::attributedNs() const
+std::vector<SelfProfiler::Node>
+SelfProfiler::tree() const
 {
-    std::uint64_t total = 0;
-    for (std::int32_t c = rootFirst_; c >= 0; c = nodes_[c].nextSibling)
-        total += nodes_[c].ns;
-    return total;
+    return buildTree(countsCopy());
 }
-
-namespace
-{
-
-/** Child indices of @p first-chain with calls, in site-enum order. */
-std::vector<std::int32_t>
-orderedChildren(const std::vector<SelfProfiler::Node> &nodes,
-                std::int32_t first)
-{
-    std::vector<std::int32_t> kids;
-    for (std::int32_t c = first; c >= 0; c = nodes[c].nextSibling) {
-        if (nodes[c].calls > 0)
-            kids.push_back(c);
-    }
-    std::sort(kids.begin(), kids.end(),
-              [&](std::int32_t a, std::int32_t b) {
-                  return nodes[a].site < nodes[b].site;
-              });
-    return kids;
-}
-
-} // namespace
 
 std::string
 SelfProfiler::wallJson(double total_sec) const
 {
-    const double attributed =
-        static_cast<double>(attributedNs()) / 1e9;
+    const PathCounts counts = countsCopy();
+    const std::uint64_t total = totalSamples(counts);
+    const std::vector<Node> nodes = buildTree(counts);
+    const double sec_per_sample = total ? total_sec / total : 0.0;
+    std::uint64_t attributed_samples = 0;
+    for (const Node &n : nodes) {
+        if (n.parent < 0)
+            attributed_samples += n.samples;
+    }
+    const double attributed = attributed_samples * sec_per_sample;
     const double unattributed =
-        total_sec > attributed ? total_sec - attributed : 0.0;
+        total ? (total - attributed_samples) * sec_per_sample : total_sec;
     const double coverage =
-        total_sec > 0 ? 100.0 * attributed / total_sec : 0.0;
+        total ? 100.0 * attributed_samples / total : 0.0;
+    auto us = [&](std::uint64_t samples) {
+        return json::number(static_cast<std::uint64_t>(
+            samples * sec_per_sample * 1e6));
+    };
 
     std::string out = "{\"total_sec\":" + json::number(total_sec) +
                       ",\"attributed_sec\":" + json::number(attributed) +
                       ",\"unattributed_sec\":" +
                       json::number(unattributed) +
                       ",\"coverage_pct\":" + json::number(coverage) +
+                      ",\"samples\":" + json::number(total) +
                       ",\"tree\":";
-
-    // Recursive emission without actual recursion state on the C++
-    // stack beyond the lambda: trees are a few levels deep.
-    auto emitLevel = [&](auto &&self, std::int32_t first) -> std::string {
+    auto emitLevel = [&](auto &&self, std::int32_t parent) -> std::string {
         std::string arr = "[";
-        bool firstKid = true;
-        for (std::int32_t c : orderedChildren(nodes_, first)) {
-            if (!firstKid)
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+            if (nodes[i].parent != parent)
+                continue;
+            if (arr.size() > 1)
                 arr += ",";
-            firstKid = false;
             arr += "{\"site\":";
-            arr += json::quote(profSiteName(nodes_[c].site));
-            arr += ",\"incl_us\":" + json::number(toUs(nodes_[c].ns));
-            arr += ",\"self_us\":" +
-                   json::number(toUs(selfNs(static_cast<std::size_t>(c))));
-            arr += ",\"calls\":" + json::number(nodes_[c].calls);
+            arr += json::quote(profSiteName(nodes[i].site));
+            arr += ",\"incl_us\":" + us(nodes[i].samples);
+            arr += ",\"self_us\":" + us(nodes[i].selfSamples);
+            arr += ",\"samples\":" + json::number(nodes[i].samples);
             arr += ",\"children\":";
-            arr += self(self, nodes_[c].firstChild);
+            arr += self(self, static_cast<std::int32_t>(i));
             arr += "}";
         }
         arr += "]";
         return arr;
     };
-    out += emitLevel(emitLevel, rootFirst_);
+    out += emitLevel(emitLevel, -1);
     out += "}";
     return out;
 }
 
 std::string
-SelfProfiler::topTable(double total_sec) const
+SelfProfiler::table(double total_sec) const
 {
+    const PathCounts counts = countsCopy();
+    const std::uint64_t total = totalSamples(counts);
+    const std::vector<Node> nodes = buildTree(counts);
+    const double share = total ? 1.0 / total : 0.0;
+
     struct Row
     {
         std::string path;
-        double selfSec;
-        double inclSec;
-        std::uint64_t calls;
+        const Node *node;
     };
     std::vector<Row> rows;
-    auto walk = [&](auto &&self, std::int32_t first,
-                    const std::string &prefix) -> void {
-        for (std::int32_t c : orderedChildren(nodes_, first)) {
-            const std::string path =
-                prefix.empty()
-                    ? profSiteName(nodes_[c].site)
-                    : prefix + "/" + profSiteName(nodes_[c].site);
-            rows.push_back(
-                {path,
-                 static_cast<double>(selfNs(static_cast<std::size_t>(c))) /
-                     1e9,
-                 static_cast<double>(nodes_[c].ns) / 1e9,
-                 nodes_[c].calls});
-            self(self, nodes_[c].firstChild, path);
-        }
-    };
-    walk(walk, rootFirst_, "");
+    std::uint64_t attributed = 0;
+    for (const Node &n : nodes) {
+        std::string path = profSiteName(n.site);
+        if (n.parent >= 0)
+            path = rows[n.parent].path + "/" + path;
+        else
+            attributed += n.samples;
+        rows.push_back({std::move(path), &n});
+    }
     std::sort(rows.begin(), rows.end(), [](const Row &a, const Row &b) {
-        if (a.selfSec != b.selfSec)
-            return a.selfSec > b.selfSec;
+        if (a.node->selfSamples != b.node->selfSamples)
+            return a.node->selfSamples > b.node->selfSamples;
         return a.path < b.path;
     });
 
-    const double attributed =
-        static_cast<double>(attributedNs()) / 1e9;
-    const double coverage =
-        total_sec > 0 ? 100.0 * attributed / total_sec : 0.0;
     std::string out = vformat(
-        "selfprof: measure wall %.3fs, attributed %.3fs (%.1f%%), "
-        "unattributed %.3fs\n",
-        total_sec, attributed, coverage,
-        total_sec > attributed ? total_sec - attributed : 0.0);
-    out += vformat("  %10s %10s %12s  %s\n", "self_s", "incl_s",
-                   "calls", "site");
-    const std::size_t limit =
-        std::min<std::size_t>(rows.size(), topN_ ? topN_ : rows.size());
-    for (std::size_t i = 0; i < limit; ++i) {
-        out += vformat("  %10.3f %10.3f %12llu  %s\n", rows[i].selfSec,
-                       rows[i].inclSec,
-                       static_cast<unsigned long long>(rows[i].calls),
-                       rows[i].path.c_str());
+        "selfprof: measure wall %.3fs, %llu samples, attributed "
+        "%.1f%%, unattributed %.3fs\n",
+        total_sec, static_cast<unsigned long long>(total),
+        100.0 * attributed * share,
+        total_sec * (1.0 - attributed * share));
+    out += vformat("  %7s %7s %10s  %s\n", "self%", "incl%", "samples",
+                   "path");
+    for (const Row &r : rows) {
+        out += vformat("  %7.1f %7.1f %10llu  %s\n",
+                       100.0 * r.node->selfSamples * share,
+                       100.0 * r.node->samples * share,
+                       static_cast<unsigned long long>(r.node->samples),
+                       r.path.c_str());
     }
     return out;
 }
@@ -248,39 +275,18 @@ SelfProfiler::topTable(double total_sec) const
 void
 SelfProfiler::emitTraceCounters() const
 {
-    // Aggregate per site across every tree position (a site can recur
-    // at several depths): cumulative SELF-time so the counter tracks
-    // sum to the attributed total, not N x the kernel root.
-    std::uint64_t ns[static_cast<std::size_t>(ProfSite::NUM_SITES)] = {};
-    std::uint64_t calls[static_cast<std::size_t>(ProfSite::NUM_SITES)] =
-        {};
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const auto s = static_cast<std::size_t>(nodes_[i].site);
-        ns[s] += selfNs(i);
-        calls[s] += nodes_[i].calls;
+    // Self samples per site across every path it ends (the innermost,
+    // low slot), so the counter tracks sum to the attributed samples.
+    std::uint64_t self[static_cast<std::size_t>(ProfSite::NUM_SITES)] = {};
+    for (const auto &[path, c] : countsCopy()) {
+        if (path)
+            self[(path & kSiteMask) - 1] += c;
     }
     for (std::size_t s = 0;
          s < static_cast<std::size_t>(ProfSite::NUM_SITES); ++s) {
-        if (calls[s] == 0)
-            continue;
-        traceEvent(TraceKind::SelfProf, 0, s, toUs(ns[s]), calls[s]);
+        if (self[s] > 0)
+            traceEvent(TraceKind::SelfProf, 0, s, self[s]);
     }
-}
-
-std::string
-selfprofSection(const SelfProfiler *prof, const SelfProfRate &rate)
-{
-    std::string out =
-        "{\"rate\":{\"sim_kips\":" + json::number(rate.simKips) +
-        ",\"warmup_wall_sec\":" + json::number(rate.warmupWallSec) +
-        ",\"measure_wall_sec\":" + json::number(rate.measureWallSec) +
-        ",\"heartbeats\":" + json::number(rate.heartbeats) +
-        ",\"heartbeat_period_insts\":" +
-        json::number(rate.heartbeatPeriodInsts) + "}";
-    if (prof)
-        out += ",\"wall\":" + prof->wallJson(rate.measureWallSec);
-    out += "}";
-    return out;
 }
 
 } // namespace d2m::obs

@@ -2,30 +2,38 @@
  * @file
  * Simulation self-profiler (DESIGN.md §15).
  *
- * SelfProfiler is a hierarchical wall-time profiler of the simulator
- * itself. Scoped RAII timers (ProfScope) push frames onto a
- * thread-local stack; each distinct (parent, site) pair becomes one
- * node of a call tree with inclusive nanoseconds and call counts.
- * Enabled by D2M_SELFPROF=1; when off, every ProfScope compiles to a
- * single thread-local null check (the traceEvent() pattern), so
- * instrumentation stays in hot paths permanently.
+ * Two halves. The site register: every thread owns one word,
+ * obs::sitePath, naming the instrumentation sites open on it, and a
+ * ProfScope pushes its site on construction and restores the word on
+ * destruction. That is a load and two stores, with no clock read and
+ * no test, so the scopes run always and stay in the hot paths. The
+ * sampler: with D2M_SELFPROF=1 a SelfProfiler thread reads the run
+ * thread's word every kSamplePeriod and counts samples per path; the
+ * call tree is rebuilt from those counts, and a node's seconds are its
+ * sample share of the measured phase, so the tree adds up to the
+ * measured wall-clock by construction.
  */
 
 #ifndef D2M_OBS_SELFPROF_HH
 #define D2M_OBS_SELFPROF_HH
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "common/flat_map.hh"
 
 namespace d2m::obs
 {
 
 /**
  * Static instrumentation sites. A fixed enum (not dynamic
- * registration) keeps ProfScope construction allocation-free and
+ * registration) lets a site fit a 5-bit slot of the path word and
  * gives the JSON/table/chrome-trace emitters a stable name table.
  */
 enum class ProfSite : std::uint8_t
@@ -54,173 +62,118 @@ enum class ProfSite : std::uint8_t
 /** Short stable site name ("sched", "md_lookup", ...). */
 const char *profSiteName(ProfSite s);
 
-/** Hierarchical wall-time self-profiler for one run. */
-class SelfProfiler
-{
-  public:
-    /** One call-tree node: a distinct (parent chain, site) pair. */
-    struct Node
-    {
-        ProfSite site;
-        std::int32_t parent;       //!< Node index; -1 = root child.
-        std::uint64_t ns = 0;      //!< Inclusive wall nanoseconds.
-        std::uint64_t calls = 0;
-        std::int32_t firstChild = -1;
-        std::int32_t nextSibling = -1;
-    };
-
-    /** D2M_SELFPROF=1 enables; D2M_SELFPROF_TOP sizes the stderr
-     * table. @return null when profiling is off. */
-    static std::unique_ptr<SelfProfiler> fromEnv();
-
-    explicit SelfProfiler(std::uint64_t top_n = 10) : topN_(top_n) {}
-
-    /**
-     * Warmup -> measure boundary: zero all accumulated time and call
-     * counts so the reported tree covers exactly the measured phase
-     * (tree structure is kept; it is a deterministic property of the
-     * execution path, not of timing).
-     */
-    void phaseReset();
-
-    /** Push a frame for @p site under the current frame. */
-    void enter(ProfSite site);
-
-    /** Pop the current frame, charging its elapsed time. */
-    void leave();
-
-    bool stackEmpty() const { return stack_.empty(); }
-    const std::vector<Node> &tree() const { return nodes_; }
-    std::uint64_t topN() const { return topN_; }
-
-    /** Self time of node @p i: inclusive minus children inclusive. */
-    std::uint64_t selfNs(std::size_t i) const;
-
-    /** Total nanoseconds attributed at depth 1 (tree coverage). */
-    std::uint64_t attributedNs() const;
-
-    /**
-     * The "wall" member of the selfprof JSON section: total /
-     * attributed / explicit unattributed remainder, plus the full
-     * tree (children in site-enum order; integer microseconds).
-     * @param total_sec the measured-phase wall-clock this tree is
-     *                  accounting for (SimRateProfiler's measurement).
-     */
-    std::string wallJson(double total_sec) const;
-
-    /** Human top-N flat table (by self time), one trailing newline
-     * per line, ready for the runner's log buffer. */
-    std::string topTable(double total_sec) const;
-
-    /** Emit one TraceKind::SelfProf record per depth-1 site with
-     * cumulative microseconds + calls (chrome-trace counter track). */
-    void emitTraceCounters() const;
-
-  private:
-    using Clock = std::chrono::steady_clock;
-
-    struct Frame
-    {
-        std::int32_t node;
-        Clock::time_point t0;
-    };
-
-    std::vector<Node> nodes_;
-    std::vector<Frame> stack_;
-    std::int32_t rootFirst_ = -1;
-    std::uint64_t topN_;
-};
+/** Bits per site in a path word: a site is stored as its enum value
+ * plus one, so 0 marks "no site" and a word holds 12 levels. */
+inline constexpr unsigned kSiteBits = 5;
+static_assert(static_cast<unsigned>(ProfSite::NUM_SITES) <
+              (1u << kSiteBits));
 
 /**
- * The profiler observed by ProfScope on this thread; null = disabled.
- * thread_local for the same reason as obs::globalSink: parallel sweep
- * jobs each attach their own run's profiler.
+ * The sites open on this thread, innermost in the low kSiteBits; 0
+ * when none is. The sampler thread reads it, so every access is a
+ * relaxed __atomic builtin, which compiles to a plain move. Not a
+ * std::atomic: -fsanitize=null then checks the variable's address on
+ * each member call, and GCC 12 branches on the flags of a TLS add
+ * that the linker rewrites to a flag-less lea, so the check misfires.
+ * constinit: no dynamic initialisation, so no TLS wrapper call.
  */
-extern thread_local SelfProfiler *activeSelfProf;
+extern constinit thread_local std::uint64_t sitePath;
 
-/** Attach @p prof for a scope (the run loop); restores on exit. */
-class SelfProfAttach
-{
-  public:
-    explicit SelfProfAttach(SelfProfiler *prof)
-        : prev_(activeSelfProf)
-    {
-        if (prof)
-            activeSelfProf = prof;
-    }
-
-    ~SelfProfAttach() { activeSelfProf = prev_; }
-
-    SelfProfAttach(const SelfProfAttach &) = delete;
-    SelfProfAttach &operator=(const SelfProfAttach &) = delete;
-
-  private:
-    SelfProfiler *prev_;
-};
+/** "kernel/mem_access/md3" for path word @p path (outermost first). */
+std::string profPathName(std::uint64_t path);
 
 /**
- * RAII scoped timer. When profiling is off (the default) construction
- * and destruction are each a single thread-local null check — safe on
- * every hot path, including per-NoC-message. Destruction during
- * exception unwind pops the frame like any other exit.
+ * RAII site register: pushes @p site onto this thread's sitePath and
+ * restores the previous word on exit, exception unwind included.
  */
 class ProfScope
 {
   public:
     explicit ProfScope(ProfSite site)
+        : saved_(__atomic_load_n(&sitePath, __ATOMIC_RELAXED))
     {
-        if (!activeSelfProf) [[likely]]
-            return;
-        prof_ = activeSelfProf;
-        prof_->enter(site);
+        __atomic_store_n(&sitePath,
+                         (saved_ << kSiteBits) |
+                             (static_cast<std::uint64_t>(site) + 1),
+                         __ATOMIC_RELAXED);
     }
 
-    /** Hot-loop variant: the caller already holds the profiler
-     * pointer (e.g. RunOptions::selfprof hoisted into a local), so
-     * the disabled path is a register test instead of a thread-local
-     * load per scope. */
-    ProfScope(SelfProfiler *prof, ProfSite site)
-    {
-        if (!prof) [[likely]]
-            return;
-        prof_ = prof;
-        prof_->enter(site);
-    }
-
-    ~ProfScope()
-    {
-        if (prof_) [[unlikely]]
-            prof_->leave();
-    }
+    ~ProfScope() { __atomic_store_n(&sitePath, saved_, __ATOMIC_RELAXED); }
 
     ProfScope(const ProfScope &) = delete;
     ProfScope &operator=(const ProfScope &) = delete;
 
   private:
-    SelfProfiler *prof_ = nullptr;
+    std::uint64_t saved_;
 };
 
-/** Host-rate numbers folded into the selfprof section (satellite of
- * obs/profiler.hh: KIPS, heartbeats and phase wall-clocks now land in
- * the same "selfprof" JSON object as the timer tree). */
-struct SelfProfRate
+/** Sampling profiler of one thread's sitePath, for one run. */
+class SelfProfiler
 {
-    double simKips = 0;
-    double warmupWallSec = 0;
-    double measureWallSec = 0;
-    std::uint64_t heartbeats = 0;
-    std::uint64_t heartbeatPeriodInsts = 0;
-};
+  public:
+    /** Sampler sleep between reads. A thread, not SIGPROF: profiling
+     * timers expire on the scheduler tick (250 Hz on common kernels),
+     * while this loop reaches thousands of samples per second. */
+    static constexpr std::chrono::microseconds kSamplePeriod{100};
 
-/**
- * Assemble the complete "selfprof" run-row section:
- *   {"rate":{...}[,"wall":{...}]}
- * "wall" appears when @p prof is non-null (D2M_SELFPROF=1). Rate
- * fields reuse the metrics field names (sim_kips, *_wall_sec) so every
- * existing host-timing normalizer strips them too.
- */
-std::string selfprofSection(const SelfProfiler *prof,
-                            const SelfProfRate &rate);
+    /** One call-tree node: a distinct (parent chain, site) pair. */
+    struct Node
+    {
+        ProfSite site;
+        std::int32_t parent;         //!< Node index; -1 = root child.
+        std::uint64_t samples = 0;   //!< Inclusive.
+        std::uint64_t selfSamples = 0;
+    };
+
+    /** D2M_SELFPROF=1 enables. @return null when profiling is off. */
+    static std::unique_ptr<SelfProfiler> fromEnv();
+
+    /** Start sampling the calling thread's sitePath. */
+    SelfProfiler();
+    ~SelfProfiler() { stop(); }
+
+    SelfProfiler(const SelfProfiler &) = delete;
+    SelfProfiler &operator=(const SelfProfiler &) = delete;
+
+    /** Warmup -> measure boundary: drop every sample so far. */
+    void phaseReset();
+
+    /** Stop sampling and join the sampler thread; idempotent. */
+    void stop();
+
+    /** Samples taken since the last phaseReset(). */
+    std::uint64_t samples() const;
+
+    /** The call tree rebuilt from the path counts: a parent always
+     * precedes its children, siblings are in site-enum order. */
+    std::vector<Node> tree() const;
+
+    /**
+     * The "wall" member of the selfprof JSON section: total /
+     * attributed / explicit unattributed remainder, sample count and
+     * the full tree (integer microseconds = sample share of
+     * @p total_sec, the measured-phase wall-clock).
+     */
+    std::string wallJson(double total_sec) const;
+
+    /** Human table of every sampled path by self share, one trailing
+     * newline per line, ready for the runner's log buffer. */
+    std::string table(double total_sec) const;
+
+    /** Emit one TraceKind::SelfProf record per sampled site with its
+     * cumulative self samples (chrome-trace counter track). */
+    void emitTraceCounters() const;
+
+  private:
+    FlatMap<std::uint64_t, std::uint64_t> countsCopy() const;
+    void sampleLoop();
+
+    const std::uint64_t *target_;
+    mutable std::mutex mu_;
+    FlatMap<std::uint64_t, std::uint64_t> counts_;  //!< Path -> samples.
+    std::atomic<bool> stopping_{false};
+    std::thread sampler_;
+};
 
 } // namespace d2m::obs
 

@@ -12,7 +12,7 @@
 namespace d2m::obs
 {
 
-thread_local TraceSink *globalSink = nullptr;
+constinit thread_local TraceSink *globalSink = nullptr;
 
 namespace
 {
@@ -150,8 +150,7 @@ traceToJson(const TraceRecord &rec)
       case TraceKind::SelfProf:
         append(out, "site",
                profSiteName(static_cast<ProfSite>(rec.addr)));
-        append(out, "us", rec.a);
-        append(out, "calls", rec.b);
+        append(out, "samples", rec.a);
         break;
       case TraceKind::Heartbeat:
       case TraceKind::RunEnd:

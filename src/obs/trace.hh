@@ -119,9 +119,11 @@ class TraceSink
  * Global sink; null when tracing is disabled. thread_local: the env
  * sink attaches on the main thread; each parallel sweep worker
  * (harness/pool.hh) attaches its own per-job sink so concurrent runs
- * never interleave records in one ring.
+ * never interleave records in one ring. constinit: no dynamic
+ * initialisation, so an access is a plain TLS load without the
+ * wrapper call.
  */
-extern thread_local TraceSink *globalSink;
+extern constinit thread_local TraceSink *globalSink;
 
 /** @return true when a global trace sink is attached. */
 inline bool traceEnabled() { return globalSink != nullptr; }

@@ -20,6 +20,7 @@
 #include "noc/message.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/json.hh"
+#include "obs/selfprof.hh"
 #include "obs/trace.hh"
 #include "workload/suites.hh"
 
@@ -179,6 +180,26 @@ TEST(ChromeTrace, HeartbeatBecomesCounterTrack)
         found = true;
         EXPECT_EQ(e["name"].asString(), "sim_rate");
         EXPECT_EQ(e["args"]["kips"].asNumber(), 250.0);
+    }
+    EXPECT_TRUE(found);
+}
+
+TEST(ChromeTrace, SelfProfSamplesBecomeCounterTrack)
+{
+    const std::string line = obs::traceToJson(
+        {1000, obs::TraceKind::SelfProf, 0,
+         static_cast<std::uint64_t>(obs::ProfSite::Md3), 42, 0});
+    EXPECT_NE(line.find("\"site\":\"md3\""), std::string::npos) << line;
+    EXPECT_NE(line.find("\"samples\":42"), std::string::npos) << line;
+    EXPECT_EQ(line.find("\"calls\""), std::string::npos) << line;
+    const json::Value doc = parseDoc(convert(line + "\n"));
+    bool found = false;
+    for (const json::Value &e : doc["traceEvents"].array) {
+        if (e["ph"].asString() != "C")
+            continue;
+        found = true;
+        EXPECT_EQ(e["name"].asString(), "selfprof_md3");
+        EXPECT_EQ(e["args"]["samples"].asNumber(), 42.0);
     }
     EXPECT_TRUE(found);
 }

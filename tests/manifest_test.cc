@@ -73,22 +73,19 @@ TEST(Manifest, KeyTableIsWellFormed)
 TEST(Manifest, ObsKeysParse)
 {
     Manifest m = parseManifestText(
-        "[obs]\nselfprof = 1\nselfprof_top = 15\nheartbeat_minsts = 4\n",
-        "t");
-    ASSERT_EQ(m.entries.size(), 3u);
+        "[obs]\nselfprof = 1\nheartbeat_minsts = 4\n", "t");
+    ASSERT_EQ(m.entries.size(), 2u);
     EXPECT_EQ(m.entries[0].env, "D2M_SELFPROF");
     EXPECT_EQ(m.entries[0].value, "1");
-    EXPECT_EQ(m.entries[1].env, "D2M_SELFPROF_TOP");
-    EXPECT_EQ(m.entries[1].value, "15");
-    EXPECT_EQ(m.entries[2].env, "D2M_HEARTBEAT");
-    EXPECT_EQ(m.entries[2].value, "4");
+    EXPECT_EQ(m.entries[1].env, "D2M_HEARTBEAT");
+    EXPECT_EQ(m.entries[1].value, "4");
 }
 
 TEST(ManifestDeathTest, NonNumericObsValueIsFatal)
 {
-    // The self-profiler keys are numeric: the manifest validator must
+    // The obs switches are numeric: the manifest validator must
     // reject junk values.
-    EXPECT_EXIT(parseManifestText("[obs]\nselfprof_top = ten\n", "t"),
+    EXPECT_EXIT(parseManifestText("[obs]\nheartbeat_minsts = ten\n", "t"),
                 testing::ExitedWithCode(1), "not an unsigned integer");
     EXPECT_EXIT(parseManifestText("[obs]\nselfprof = yes\n", "t"),
                 testing::ExitedWithCode(1), "not an unsigned integer");
@@ -121,6 +118,11 @@ TEST(ManifestDeathTest, UnknownKeyIsFatal)
                 "t:2: unknown key 'lane_window'");
     EXPECT_EXIT(parseManifestText("[obs]\nselfprof = 1\nlanes = 4\n", "t"),
                 testing::ExitedWithCode(1), "t:3: unknown key 'lanes'");
+    // Retired with the timer tree's top-N table: the sampled table
+    // lists every path.
+    EXPECT_EXIT(
+        parseManifestText("[obs]\nselfprof = 1\nselfprof_top = 15\n", "t"),
+        testing::ExitedWithCode(1), "t:3: unknown key 'selfprof_top'");
 }
 
 TEST(ManifestDeathTest, DuplicateKeyIsFatal)
