@@ -1,7 +1,6 @@
 #include "baseline/base_system.hh"
 
 #include "common/logging.hh"
-#include "fault/base_fault_model.hh"
 #include "obs/debug.hh"
 #include "obs/selfprof.hh"
 #include "obs/trace.hh"
@@ -35,14 +34,7 @@ BaselineSystem::BaselineSystem(std::string name, const SystemParams &params)
     }
     llc_ = std::make_unique<ClassicCache>(
         "llc", this, params.l1Lines(params.llc), params.llc.assoc, lshift);
-
-    if (faults_) {
-        faultModel_ = std::make_unique<BaseFaultModel>(*this);
-        faults_->bindHost(faultModel_.get());
-    }
 }
-
-BaselineSystem::~BaselineSystem() = default;
 
 ClassicCache &
 BaselineSystem::l1For(NodeId node, AccessType type)
@@ -357,8 +349,6 @@ AccessResult
 BaselineSystem::access(NodeId node, const MemAccess &acc, Tick)
 {
     obs::ProfScope prof(obs::ProfSite::MemAccess);
-    if (faults_) [[unlikely]]
-        faults_->onAccess();
     ++stats_.accesses;
     switch (acc.type) {
       case AccessType::IFETCH: ++stats_.ifetches; break;

@@ -26,8 +26,6 @@
 namespace d2m
 {
 
-class BaseFaultModel;
-
 /** A classic directory-coherent two- or three-level system. */
 class BaselineSystem : public MemorySystem
 {
@@ -37,7 +35,6 @@ class BaselineSystem : public MemorySystem
      *               Base-3L, otherwise Base-2L.
      */
     BaselineSystem(std::string name, const SystemParams &params);
-    ~BaselineSystem() override;
 
     AccessResult access(NodeId node, const MemAccess &acc,
                         Tick now) override;
@@ -54,12 +51,7 @@ class BaselineSystem : public MemorySystem
     HierarchyStats &hierStats() { return stats_; }
     const HierarchyStats &hierStats() const { return stats_; }
 
-    /** Fault surface, or nullptr when fault modeling is disabled. */
-    BaseFaultModel *faultModel() { return faultModel_.get(); }
-
   private:
-    // The fault model is an extension of the system, not a client.
-    friend class BaseFaultModel;
     struct Node
     {
         std::unique_ptr<Tlb> tlb;
@@ -114,7 +106,6 @@ class BaselineSystem : public MemorySystem
     bool hasL2_;
     std::vector<Node> nodes_;
     std::unique_ptr<ClassicCache> llc_;
-    std::unique_ptr<BaseFaultModel> faultModel_;
     HierarchyStats stats_;
 };
 

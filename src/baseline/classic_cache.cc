@@ -1,5 +1,7 @@
 #include "baseline/classic_cache.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace d2m
@@ -30,6 +32,12 @@ ClassicCache::lookup(Addr line_addr)
 ClassicLine *
 ClassicCache::probe(Addr line_addr)
 {
+    return const_cast<ClassicLine *>(std::as_const(*this).probe(line_addr));
+}
+
+const ClassicLine *
+ClassicCache::probe(Addr line_addr) const
+{
     const std::uint32_t base =
         geom_.setIndex(line_addr << geom_.unitShift()) * geom_.assoc();
     const Addr *tags = tagMirror_.data() + base;
@@ -37,24 +45,6 @@ ClassicCache::probe(Addr line_addr)
         if (tags[w] != line_addr)
             continue;
         // Mirror hits are candidates only: verify against the line.
-        ClassicLine &line = lines_[base + w];
-        if (line.valid() && line.lineAddr == line_addr)
-            return eccChecked(&line);
-    }
-    return nullptr;
-}
-
-const ClassicLine *
-ClassicCache::probe(Addr line_addr) const
-{
-    // Raw tag scan: const observers (checkers) must not trigger the
-    // ECC scrub a mutable probe models.
-    const std::uint32_t base =
-        geom_.setIndex(line_addr << geom_.unitShift()) * geom_.assoc();
-    const Addr *tags = tagMirror_.data() + base;
-    for (std::uint32_t w = 0; w < geom_.assoc(); ++w) {
-        if (tags[w] != line_addr)
-            continue;
         const ClassicLine &line = lines_[base + w];
         if (line.valid() && line.lineAddr == line_addr)
             return &line;
@@ -73,18 +63,7 @@ ClassicCache::victimFor(Addr line_addr)
     }
     const std::uint32_t victim = repl_->victim(
         replStates_.data() + set * geom_.assoc(), geom_.assoc(), nullptr);
-    return *eccChecked(&base[victim]);
-}
-
-void
-ClassicCache::scrubAll()
-{
-    if (!faults_)
-        return;
-    for (auto &line : lines_) {
-        if (line.faultMask)
-            faults_->scrubLine(line);
-    }
+    return base[victim];
 }
 
 void

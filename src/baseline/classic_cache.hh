@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "fault/fault_injector.hh"
 #include "mem/geometry.hh"
 #include "mem/replacement.hh"
 #include "sim/sim_object.hh"
@@ -39,11 +38,6 @@ struct ClassicLine
                                   //!< stale) copy.
     NodeId owner = invalidNode;   //!< Node holding the line E/M.
 
-    // Fault-model state: XOR mask of injected (ECC-correctable) bit
-    // flips currently corrupting `value`, and the injection timestamp.
-    std::uint64_t faultMask = 0;
-    std::uint64_t faultAccess = 0;
-
     bool valid() const { return state != Mesi::I; }
 
     void
@@ -54,8 +48,6 @@ struct ClassicLine
         dirty = false;
         sharers = 0;
         owner = invalidNode;
-        faultMask = 0;
-        faultAccess = 0;
     }
 };
 
@@ -105,41 +97,7 @@ class ClassicCache : public SimObject
         }
     }
 
-    /** Iterate all valid lines mutably (fault-injection support). */
-    template <typename Fn>
-    void
-    forEachLineMut(Fn &&fn)
-    {
-        for (auto &line : lines_) {
-            if (line.valid())
-                fn(line);
-        }
-    }
-
-    /** Bind the fault injector that models this array's ECC. */
-    void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
-
-    /** Raw slot access by flat index (fault-injection support). */
-    std::uint32_t
-    numLines() const
-    {
-        return static_cast<std::uint32_t>(lines_.size());
-    }
-    ClassicLine &rawLineAt(std::uint32_t idx) { return lines_[idx]; }
-
-    /** ECC-check every slot (background scrub sweep). */
-    void scrubAll();
-
   private:
-    /** Model the ECC check on a line handed to a reader. */
-    ClassicLine *
-    eccChecked(ClassicLine *line)
-    {
-        if (line && line->faultMask && faults_) [[unlikely]]
-            faults_->scrubLine(*line);
-        return line;
-    }
-
     std::uint32_t
     indexOf(const ClassicLine &line) const
     {
@@ -160,7 +118,6 @@ class ClassicCache : public SimObject
     std::vector<ReplState> replStates_;
     std::unique_ptr<ReplacementPolicy> repl_;
     std::uint64_t clock_ = 0;
-    FaultInjector *faults_ = nullptr;
 };
 
 } // namespace d2m

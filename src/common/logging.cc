@@ -178,22 +178,6 @@ warnImpl(const std::string &msg)
     std::fprintf(stderr, "%swarn: %s\n", logPrefix.c_str(), msg.c_str());
 }
 
-bool
-WarnLimit::allow()
-{
-    const std::uint64_t n =
-        count_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (n <= limit_)
-        return true;
-    if (n == limit_ + 1) {
-        std::fprintf(stderr,
-                     "warn: (suppressing further identical warnings "
-                     "after %llu)\n",
-                     static_cast<unsigned long long>(limit_));
-    }
-    return false;
-}
-
 void
 informImpl(const std::string &msg)
 {

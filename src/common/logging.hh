@@ -6,9 +6,6 @@
  * fatal():  a user error (bad configuration); exits with status 1.
  * warn():   possibly-incorrect behavior the user should know about.
  * warn_once():    warn() that fires at most once per call site.
- * warn_limited(): warn() capped per call site (default 5), then a
- *                 single suppression notice — fault sweeps and NoC
- *                 retry storms cannot spam thousands of lines.
  * inform(): normal status messages.
  */
 
@@ -128,36 +125,6 @@ class ScopedAbortCapture
     static bool active();
 };
 
-/** Per-call-site warning budget backing warn_limited(). The counter
- * is atomic: call sites are static and may be hit from concurrent
- * sweep jobs (harness/pool.hh). */
-class WarnLimit
-{
-  public:
-    explicit WarnLimit(std::uint64_t limit = 5) : limit_(limit) {}
-
-    /** @return true while the budget lasts; prints one suppression
-     * notice the first time the budget is exceeded. */
-    bool allow();
-
-    std::uint64_t
-    count() const
-    {
-        return count_.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    suppressed() const
-    {
-        const std::uint64_t n = count();
-        return n > limit_ ? n - limit_ : 0;
-    }
-
-  private:
-    std::atomic<std::uint64_t> count_{0};
-    std::uint64_t limit_;
-};
-
 } // namespace d2m
 
 /** Report an internal simulator bug and abort. */
@@ -180,18 +147,6 @@ class WarnLimit
                                   ::std::memory_order_relaxed)) \
             warn(__VA_ARGS__);                                  \
     } while (0)
-
-/** warn() at most @p n times per call site, then suppress with a
- * single notice. */
-#define warn_limited_n(n, ...)             \
-    do {                                   \
-        static ::d2m::WarnLimit _d2m_wl{n};\
-        if (_d2m_wl.allow())               \
-            warn(__VA_ARGS__);             \
-    } while (0)
-
-/** warn_limited_n with the default per-site budget (5). */
-#define warn_limited(...) warn_limited_n(5, __VA_ARGS__)
 
 /** Print a normal informational message. */
 #define inform(...) ::d2m::informImpl(::d2m::vformat(__VA_ARGS__))

@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "common/types.hh"
-#include "fault/fault_model.hh"
 
 namespace d2m
 {
@@ -101,9 +100,6 @@ struct SystemParams
 
     LatencyParams lat;
     CoreParams core;
-
-    /** Fault injection / detection / recovery (src/fault/). */
-    FaultParams fault;
 
     std::uint64_t seed = 12345;
 

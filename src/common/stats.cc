@@ -45,90 +45,6 @@ Counter::printJson(std::ostream &os) const
     os << json::number(value_);
 }
 
-void
-Average::print(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << " " << formatFloat(mean()) << " (n="
-       << count_ << ") # " << desc() << "\n";
-}
-
-void
-Average::printJson(std::ostream &os) const
-{
-    os << "{\"mean\":" << formatFloat(mean())
-       << ",\"count\":" << json::number(count_)
-       << ",\"sum\":" << formatFloat(sum_) << "}";
-}
-
-Histogram::Histogram(StatGroup *parent, std::string name, std::string desc,
-                     std::uint64_t bucket_width, unsigned num_buckets)
-    : StatBase(parent, std::move(name), std::move(desc)),
-      bucketWidth_(bucket_width), buckets_(num_buckets + 1, 0)
-{
-    panic_if(bucket_width == 0, "histogram bucket width must be > 0");
-    panic_if(num_buckets == 0, "histogram needs at least one bucket");
-}
-
-void
-Histogram::sample(std::uint64_t v, std::uint64_t weight)
-{
-    const std::uint64_t idx =
-        std::min<std::uint64_t>(v / bucketWidth_, buckets_.size() - 1);
-    buckets_[idx] += weight;
-    samples_ += weight;
-    sum_ += static_cast<double>(v) * static_cast<double>(weight);
-}
-
-void
-Histogram::print(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << " mean=" << formatFloat(mean())
-       << " n=" << samples_ << " # " << desc() << "\n";
-    for (size_t b = 0; b < buckets_.size(); ++b) {
-        if (!buckets_[b])
-            continue;
-        os << prefix << name() << "[" << b * bucketWidth_;
-        if (b + 1 == buckets_.size())
-            os << "+";
-        else
-            os << ".." << (b + 1) * bucketWidth_ - 1;
-        os << "] " << buckets_[b] << "\n";
-    }
-}
-
-void
-Histogram::printJson(std::ostream &os) const
-{
-    os << "{\"mean\":" << formatFloat(mean())
-       << ",\"samples\":" << json::number(samples_)
-       << ",\"bucket_width\":" << json::number(bucketWidth_)
-       << ",\"buckets\":[";
-    for (size_t b = 0; b < buckets_.size(); ++b) {
-        if (b)
-            os << ",";
-        os << json::number(buckets_[b]);
-    }
-    // Lower bucket edges (same length as "buckets"): bucket i covers
-    // [bounds[i], bounds[i+1]) and the final (overflow) bucket is
-    // unbounded above — consumers can reconstruct the distribution
-    // without knowing the fixed-width convention.
-    os << "],\"bounds\":[";
-    for (size_t b = 0; b < buckets_.size(); ++b) {
-        if (b)
-            os << ",";
-        os << json::number(b * bucketWidth_);
-    }
-    os << "]}";
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    samples_ = 0;
-    sum_ = 0.0;
-}
-
 Histogram2::Histogram2(StatGroup *parent, std::string name,
                        std::string desc, unsigned sub_bits)
     : StatBase(parent, std::move(name), std::move(desc)),

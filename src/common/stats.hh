@@ -86,60 +86,6 @@ class Counter : public StatBase
     std::uint64_t value_ = 0;
 };
 
-/** An averaged scalar: accumulates samples, reports mean. */
-class Average : public StatBase
-{
-  public:
-    Average(StatGroup *parent, std::string name, std::string desc)
-        : StatBase(parent, std::move(name), std::move(desc))
-    {}
-
-    void
-    sample(double v, std::uint64_t weight = 1)
-    {
-        sum_ += v * static_cast<double>(weight);
-        count_ += weight;
-    }
-
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-
-    void print(std::ostream &os, const std::string &prefix) const override;
-    void printJson(std::ostream &os) const override;
-    void reset() override { sum_ = 0.0; count_ = 0; }
-    std::uint64_t snapshotValue() const override { return count_; }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-};
-
-/** A histogram with fixed-width buckets plus an overflow bucket. */
-class Histogram : public StatBase
-{
-  public:
-    Histogram(StatGroup *parent, std::string name, std::string desc,
-              std::uint64_t bucket_width, unsigned num_buckets);
-
-    void sample(std::uint64_t v, std::uint64_t weight = 1);
-
-    std::uint64_t totalSamples() const { return samples_; }
-    double mean() const { return samples_ ? sum_ / samples_ : 0.0; }
-    std::uint64_t bucketCount(unsigned b) const { return buckets_[b]; }
-
-    void print(std::ostream &os, const std::string &prefix) const override;
-    void printJson(std::ostream &os) const override;
-    void reset() override;
-    std::uint64_t snapshotValue() const override { return samples_; }
-
-  private:
-    std::uint64_t bucketWidth_;
-    std::vector<std::uint64_t> buckets_;  // last bucket = overflow
-    std::uint64_t samples_ = 0;
-    double sum_ = 0.0;
-};
-
 /**
  * A log2-bucketed histogram with percentile readout (HDR-histogram
  * style): each power-of-two range is subdivided into 2^sub_bits

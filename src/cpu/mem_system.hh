@@ -21,7 +21,6 @@
 #include "common/types.hh"
 #include "cpu/hier_stats.hh"
 #include "energy/energy_model.hh"
-#include "fault/fault_injector.hh"
 #include "mem/access.hh"
 #include "mem/main_memory.hh"
 #include "mem/page_table.hh"
@@ -42,17 +41,7 @@ class MemorySystem : public SimObject
           noc_("noc", this, params.numNodes, params.lineSize, noc_hop),
           memory_("mem", this),
           energy_("energy", this)
-    {
-        if (params.fault.enabled) {
-            faultStats_ =
-                std::make_unique<FaultStats>("faults", this);
-            faults_ = std::make_unique<FaultInjector>(params.fault,
-                                                      *faultStats_);
-            faults_->setHopLatency(noc_hop);
-            noc_.setFaultInjector(faults_.get());
-            // Derived systems bind the FaultHost in their constructors.
-        }
-    }
+    {}
 
     ~MemorySystem() override = default;
 
@@ -86,10 +75,6 @@ class MemorySystem : public SimObject
     EnergyAccount &energy() { return energy_; }
     const EnergyAccount &energy() const { return energy_; }
 
-    /** Fault injector, or nullptr when fault modeling is disabled. */
-    FaultInjector *faultInjector() { return faults_.get(); }
-    const FaultInjector *faultInjector() const { return faults_.get(); }
-
   protected:
     /** Endpoint id of the far side of the interconnect. */
     std::uint32_t farSide() const { return params_.numNodes; }
@@ -99,8 +84,6 @@ class MemorySystem : public SimObject
     Interconnect noc_;
     MainMemory memory_;
     EnergyAccount energy_;
-    std::unique_ptr<FaultStats> faultStats_;
-    std::unique_ptr<FaultInjector> faults_;
 };
 
 } // namespace d2m

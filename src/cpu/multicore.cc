@@ -207,13 +207,6 @@ runMulticore(MemorySystem &system,
         if (opts.invariantCheckPeriod &&
             result.accesses % opts.invariantCheckPeriod == 0) {
             obs::ProfScope ps(obs::ProfSite::Invariants);
-            // The checker reads raw state, so give the detection layer
-            // a chance to heal pending corruption first -- exactly what
-            // a real design's background scrubber guarantees.
-            if (auto *fi = system.faultInjector();
-                fi && fi->detectionEnabled()) {
-                fi->sweep();
-            }
             std::string why;
             if (!system.checkInvariants(why)) {
                 ++result.invariantErrors;
@@ -222,11 +215,6 @@ runMulticore(MemorySystem &system,
             }
         }
     }
-
-    // Heal anything still marked so post-run invariant checks and stat
-    // reports see a scrubbed hierarchy.
-    if (auto *fi = system.faultInjector(); fi && fi->detectionEnabled())
-        fi->sweep();
 
     for (auto &core : cores) {
         result.cycles = std::max(result.cycles, core.finishTime());

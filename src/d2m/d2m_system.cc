@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "fault/d2m_fault_model.hh"
 #include "obs/debug.hh"
 #include "obs/selfprof.hh"
 #include "obs/trace.hh"
@@ -104,14 +103,7 @@ D2mSystem::D2mSystem(std::string name, const SystemParams &params)
         replication_ = std::make_unique<NoReplicationPolicy>();
 
     nextPressureEpoch_ = params.nsPressurePeriod;
-
-    if (faults_) {
-        faultModel_ = std::make_unique<D2mFaultModel>(*this);
-        faults_->bindHost(faultModel_.get());
-    }
 }
-
-D2mSystem::~D2mSystem() = default;
 
 const char *
 D2mSystem::configName() const
@@ -1347,8 +1339,6 @@ D2mSystem::access(NodeId node, const MemAccess &acc, Tick now)
 {
     obs::ProfScope prof(obs::ProfSite::MemAccess);
     pressureEpoch(now);
-    if (faults_) [[unlikely]]
-        faults_->onAccess();
 
     ++stats_.accesses;
     switch (acc.type) {

@@ -47,14 +47,11 @@
 namespace d2m
 {
 
-class D2mFaultModel;
-
 /** The D2M split-hierarchy system (FS / NS / NS-R by params). */
 class D2mSystem : public MemorySystem
 {
   public:
     D2mSystem(std::string name, const SystemParams &params);
-    ~D2mSystem() override;
 
     AccessResult access(NodeId node, const MemAccess &acc,
                         Tick now) override;
@@ -72,14 +69,9 @@ class D2mSystem : public MemorySystem
     /** Classification of @p pregion per Table II (test support). */
     RegionClass regionClass(std::uint64_t pregion) const;
 
-    /** The fault model, or nullptr when fault injection is disabled. */
-    D2mFaultModel *faultModel() { return faultModel_.get(); }
-    const D2mFaultModel *faultModel() const { return faultModel_.get(); }
-
   private:
-    // The fault model reaches into the hierarchy to corrupt, scan and
-    // rebuild it; it is an extension of the system, not a client.
-    friend class D2mFaultModel;
+    // The invariant negative tests corrupt the hierarchy directly.
+    friend struct D2mTestPeer;
     // ---- structural -------------------------------------------------
     struct NodeCtx
     {
@@ -304,8 +296,6 @@ class D2mSystem : public MemorySystem
 
     /** LI hops chased by the access in flight (events_.liHopsPerMiss). */
     std::uint64_t curLiHops_ = 0;
-
-    std::unique_ptr<D2mFaultModel> faultModel_;
 
     HierarchyStats stats_;
     D2mEvents events_;

@@ -14,8 +14,6 @@
  *  6. Inclusion: MD1 subset of MD2; MD2 regions and LLC lines present
  *     in MD3.
  *
- * The checker reads state through const (raw) accessors only: it must
- * observe corruption, not trigger the modeled parity/ECC machinery.
  * All violations are collected (up to a reporting cap), not just the
  * first, so one check of a badly corrupted state names every broken
  * invariant at once.

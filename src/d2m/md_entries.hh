@@ -36,11 +36,6 @@ struct Md1Entry
     bool privateBit = false;    //!< P bit (Table II classification).
     std::uint32_t scramble = 0; //!< Dynamic-indexing value (IV-D).
     LiVector li{};
-
-    // Fault-model state: entry parity mismatch flag plus the injection
-    // timestamp (accesses) used to measure detection latency.
-    bool parityFault = false;
-    std::uint64_t faultAccess = 0;
 };
 
 /** Second-level metadata entry (physically tagged). */
@@ -65,9 +60,6 @@ struct Md2Entry
     bool md1SideI = false;      //!< MD1-I vs MD1-D (paper footnote 2).
     std::uint32_t md1Set = 0;
     std::uint32_t md1Way = 0;
-
-    bool parityFault = false;   //!< Fault model: parity mismatch.
-    std::uint64_t faultAccess = 0;
 };
 
 /** Shared third-level metadata entry (with presence bits). */
@@ -83,9 +75,6 @@ struct Md3Entry
      * (Appendix case B note).
      */
     LiVector li{};
-
-    bool parityFault = false;   //!< Fault model: parity mismatch.
-    std::uint64_t faultAccess = 0;
 };
 
 /** Region classification derived from the PB bits (paper Table II). */

@@ -24,7 +24,8 @@
 #ifndef D2M_D2M_REGION_STORE_HH
 #define D2M_D2M_REGION_STORE_HH
 
-#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/intmath.hh"
@@ -37,16 +38,8 @@ namespace d2m
 
 /** Set-associative array of region entries of type @p Entry.
  *
- * @p Entry must provide: bool valid, std::uint64_t key, and the
- * fault-model fields bool parityFault / uint64_t faultAccess.
+ * @p Entry must provide: bool valid and std::uint64_t key.
  * Replacement state lives in the store, not the entry.
- *
- * Every read path that hands out a mutable entry (find / probe / at /
- * victimFor) models the per-entry parity check of the fault model: if
- * the entry is marked corrupted, the installed parity handler runs
- * (recovering the entry in place) before the caller ever consumes its
- * contents. Const accessors are raw — the invariant checker and other
- * observers must see corruption, not heal it.
  */
 template <typename Entry>
 class RegionStore : public SimObject
@@ -97,13 +90,6 @@ class RegionStore : public SimObject
     Entry *
     probe(std::uint64_t key)
     {
-        return parityChecked(probeRaw(key));
-    }
-
-    /** probe() without the parity check (recovery-internal reads). */
-    Entry *
-    probeRaw(std::uint64_t key)
-    {
         const std::uint32_t base = setOf(key) * assoc_;
         const std::uint64_t *keys = keys_.data() + base;
         for (std::uint32_t w = 0; w < assoc_; ++w) {
@@ -119,7 +105,7 @@ class RegionStore : public SimObject
     const Entry *
     probe(std::uint64_t key) const
     {
-        return const_cast<RegionStore *>(this)->probeRaw(key);
+        return const_cast<RegionStore *>(this)->probe(key);
     }
 
     /**
@@ -168,32 +154,13 @@ class RegionStore : public SimObject
     Entry &
     at(std::uint32_t set, std::uint32_t way)
     {
-        return *parityChecked(&entries_[set * assoc_ + way]);
+        return entries_[set * assoc_ + way];
     }
 
     const Entry &
     at(std::uint32_t set, std::uint32_t way) const
     {
         return entries_[set * assoc_ + way];
-    }
-
-    /** at() without the parity check (recovery-internal writes). */
-    Entry &
-    atRaw(std::uint32_t set, std::uint32_t way)
-    {
-        return entries_[set * assoc_ + way];
-    }
-
-    /**
-     * Install the fault-model parity handler: invoked with any marked
-     * entry about to be handed to a mutating reader. The flag is
-     * cleared *before* the handler runs, so recovery may re-read the
-     * entry through the normal accessors without recursing.
-     */
-    void
-    setParityHandler(std::function<void(Entry &)> handler)
-    {
-        parityHandler_ = std::move(handler);
     }
 
     /** (set, way) of @p e within this store. */
@@ -245,27 +212,7 @@ class RegionStore : public SimObject
         }
         const std::uint32_t w =
             repl_->victim(replStates_.data() + base, assoc_, cost);
-        Entry &victim = entries_[base + w];
-        // A corrupted victim must be recovered before its LIs are
-        // consumed by the eviction path.
-        parityChecked(&victim);
-        return victim;
-    }
-
-    /** Model the per-entry parity check on a mutable read. */
-    Entry *
-    parityChecked(Entry *e)
-    {
-        if (e && e->parityFault && parityHandler_) [[unlikely]] {
-            // Clear the flag first so recovery can re-read the entry
-            // without recursing; the handler consumes faultAccess.
-            e->parityFault = false;
-            if (e->valid) {
-                parityHandler_(*e);
-            }
-            e->faultAccess = 0;
-        }
-        return e;
+        return entries_[base + w];
     }
 
     std::uint32_t sets_ = 0;
@@ -277,7 +224,6 @@ class RegionStore : public SimObject
     std::vector<ReplState> replStates_;
     std::unique_ptr<ReplacementPolicy> repl_;
     std::uint64_t clock_ = 0;
-    std::function<void(Entry &)> parityHandler_;
 };
 
 } // namespace d2m

@@ -21,7 +21,6 @@
 
 #include "common/types.hh"
 #include "d2m/location_info.hh"
-#include "fault/fault_injector.hh"
 #include "mem/geometry.hh"
 #include "mem/replacement.hh"
 #include "sim/sim_object.hh"
@@ -51,11 +50,6 @@ struct TaglessLine
     /** For LLC replica slots: the node whose MD2 tracks this replica. */
     NodeId ownerNode = invalidNode;
 
-    // Fault-model state: XOR mask of injected (ECC-correctable) bit
-    // flips currently corrupting `value`, and the injection timestamp.
-    std::uint64_t faultMask = 0;
-    std::uint64_t faultAccess = 0;
-
     void
     invalidate()
     {
@@ -66,8 +60,6 @@ struct TaglessLine
         exclusive = false;
         rp = LocationInfo::mem();
         ownerNode = invalidNode;
-        faultMask = 0;
-        faultAccess = 0;
     }
 };
 
@@ -98,16 +90,11 @@ class TaglessCache : public SimObject
                               scrambled_ ? scramble : 0);
     }
 
-    /** Direct slot access (the whole point of D2M: no search). Models
-     * the per-slot ECC check: any stored fault mask is corrected here,
-     * before the caller can consume the value. */
+    /** Direct slot access (the whole point of D2M: no search). */
     TaglessLine &
     at(std::uint32_t set, std::uint32_t way)
     {
-        TaglessLine &line = lines_[set * geom_.assoc() + way];
-        if (line.faultMask) [[unlikely]]
-            eccScrub(line);
-        return line;
+        return lines_[set * geom_.assoc() + way];
     }
 
     const TaglessLine &
@@ -116,22 +103,10 @@ class TaglessCache : public SimObject
         return lines_[set * geom_.assoc() + way];
     }
 
-    /** Slot access without the ECC check (fault-injection itself). */
-    TaglessLine &
-    rawAt(std::uint32_t set, std::uint32_t way)
-    {
-        return lines_[set * geom_.assoc() + way];
-    }
-
-    /** Bind the fault injector that models this array's ECC. */
-    void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
-
     /** Record a use for replacement. */
     void
     touch(std::uint32_t set, std::uint32_t way)
     {
-        // at() first: a touch models an access, so the ECC check runs.
-        at(set, way);
         repl_->touch(replStates_[set * geom_.assoc() + way], ++clock_);
     }
 
@@ -139,7 +114,6 @@ class TaglessCache : public SimObject
     void
     markInstalled(std::uint32_t set, std::uint32_t way)
     {
-        at(set, way);
         repl_->install(replStates_[set * geom_.assoc() + way], ++clock_);
     }
 
@@ -186,13 +160,6 @@ class TaglessCache : public SimObject
     }
 
   private:
-    void
-    eccScrub(TaglessLine &line)
-    {
-        if (faults_)
-            faults_->scrubLine(line);
-    }
-
     SetAssocGeometry geom_;
     std::vector<TaglessLine> lines_;
     /** Per-line replacement state, contiguous per set (SoA). */
@@ -200,7 +167,6 @@ class TaglessCache : public SimObject
     std::unique_ptr<ReplacementPolicy> repl_;
     std::uint64_t clock_ = 0;
     bool scrambled_ = false;
-    FaultInjector *faults_ = nullptr;
 };
 
 } // namespace d2m

@@ -1,6 +1,6 @@
 /**
  * @file
- * Campaign sweep manifests (DESIGN.md §14).
+ * Campaign sweep manifests (DESIGN.md §13).
  *
  * A manifest declares a whole campaign — grid, run lengths, seed,
  * jobs, store directory, timeout/retry budgets, build fingerprint,

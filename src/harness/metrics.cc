@@ -133,19 +133,6 @@ collectMetrics(ConfigKind kind, const std::string &suite,
                 : 0.0;
     }
 
-    if (const FaultInjector *fi = system.faultInjector()) {
-        const FaultStats &fs = fi->stats();
-        m.faultsInjected = fs.injected();
-        m.faultsDetected = fs.detected();
-        m.faultsRecovered = fs.recovered();
-        m.faultsCorrected = fs.correctedData.value();
-        m.linesRefetched = fs.linesRefetched.value();
-        m.nocDropped = fs.nocDropped.value();
-        m.nocRetries = fs.nocRetries.value();
-        m.recoveryMessages = fs.recoveryMessages.value();
-        m.recoveryCycles = fs.recoveryCycles.value();
-        m.avgDetectionLatency = fs.detectionLatency.mean();
-    }
     return m;
 }
 

@@ -73,24 +73,12 @@ struct Metrics
     std::uint64_t valueErrors = 0;
     std::uint64_t invariantErrors = 0;
 
-    // Fault injection / detection / recovery (zero with faults off).
-    std::uint64_t faultsInjected = 0;
-    std::uint64_t faultsDetected = 0;
-    std::uint64_t faultsRecovered = 0;
-    std::uint64_t faultsCorrected = 0;   //!< ECC data corrections.
-    std::uint64_t linesRefetched = 0;
-    std::uint64_t nocDropped = 0;
-    std::uint64_t nocRetries = 0;
-    std::uint64_t recoveryMessages = 0;
-    std::uint64_t recoveryCycles = 0;
-    double avgDetectionLatency = 0;      //!< Accesses, injection->detect.
-
     // Host-side simulation-rate profile (obs/profiler.hh).
     double simKips = 0;          //!< Kilo-insts per host second.
     double warmupWallSec = 0;
     double measureWallSec = 0;
 
-    // Campaign outcome (harness/store.hh, DESIGN.md §13). "ok" rows
+    // Campaign outcome (harness/store.hh, DESIGN.md §12). "ok" rows
     // serialize exactly as before; non-ok rows additionally carry
     // status / attempts / error so failures are visible downstream.
     std::string status = "ok";   //!< ok | failed | timeout | abandoned.

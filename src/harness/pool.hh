@@ -11,7 +11,7 @@
  * steals FIFO from a sibling (takes the oldest, likely-largest job).
  *
  * The pool runs closures and nothing else: determinism is the jobs'
- * problem (see DESIGN.md §12 for the one-system-per-job contract).
+ * problem (see DESIGN.md §11 for the one-system-per-job contract).
  */
 
 #ifndef D2M_HARNESS_POOL_HH

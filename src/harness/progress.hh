@@ -1,6 +1,6 @@
 /**
  * @file
- * Campaign-wide live progress stream (DESIGN.md §14).
+ * Campaign-wide live progress stream (DESIGN.md §13).
  *
  * A sweep is observable while it runs: a CampaignProgress aggregator
  * owns the campaign-level view of every grid cell (pending / running /

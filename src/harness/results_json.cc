@@ -101,16 +101,6 @@ metricsToJson(const Metrics &m)
     appendField(os, "ns_local_pct", m.nsLocalPct, first);
     appendField(os, "value_errors", m.valueErrors, first);
     appendField(os, "invariant_errors", m.invariantErrors, first);
-    appendField(os, "faults_injected", m.faultsInjected, first);
-    appendField(os, "faults_detected", m.faultsDetected, first);
-    appendField(os, "faults_recovered", m.faultsRecovered, first);
-    appendField(os, "faults_corrected", m.faultsCorrected, first);
-    appendField(os, "lines_refetched", m.linesRefetched, first);
-    appendField(os, "noc_dropped", m.nocDropped, first);
-    appendField(os, "noc_retries", m.nocRetries, first);
-    appendField(os, "recovery_messages", m.recoveryMessages, first);
-    appendField(os, "recovery_cycles", m.recoveryCycles, first);
-    appendField(os, "avg_detection_latency", m.avgDetectionLatency, first);
     appendField(os, "sim_kips", m.simKips, first);
     appendField(os, "warmup_wall_sec", m.warmupWallSec, first);
     appendField(os, "measure_wall_sec", m.measureWallSec, first);
@@ -167,7 +157,6 @@ constexpr DoubleField kDoubleFields[] = {
     {"private_miss_pct", &Metrics::privateMissPct},
     {"direct_access_pct", &Metrics::directAccessPct},
     {"ns_local_pct", &Metrics::nsLocalPct},
-    {"avg_detection_latency", &Metrics::avgDetectionLatency},
     {"sim_kips", &Metrics::simKips},
     {"warmup_wall_sec", &Metrics::warmupWallSec},
     {"measure_wall_sec", &Metrics::measureWallSec},
@@ -183,15 +172,6 @@ constexpr U64Field kU64Fields[] = {
     {"llc_tag_accesses", &Metrics::llcTagAccesses},
     {"value_errors", &Metrics::valueErrors},
     {"invariant_errors", &Metrics::invariantErrors},
-    {"faults_injected", &Metrics::faultsInjected},
-    {"faults_detected", &Metrics::faultsDetected},
-    {"faults_recovered", &Metrics::faultsRecovered},
-    {"faults_corrected", &Metrics::faultsCorrected},
-    {"lines_refetched", &Metrics::linesRefetched},
-    {"noc_dropped", &Metrics::nocDropped},
-    {"noc_retries", &Metrics::nocRetries},
-    {"recovery_messages", &Metrics::recoveryMessages},
-    {"recovery_cycles", &Metrics::recoveryCycles},
     {"attempts", &Metrics::attempts},
 };
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Structured results export: Metrics rows and full Stats trees as
- * machine-readable JSON (DESIGN.md Section 10).
+ * machine-readable JSON (DESIGN.md Section 9).
  *
  * Set D2M_STATS_JSON=<path> to collect every (config, benchmark) run
  * of the process into one JSON document:

@@ -347,7 +347,7 @@ runSweep(const std::vector<ConfigKind> &configs,
         return rows;
     const std::uint64_t baseSlot = reserveRunSlots(specs.size());
 
-    // Campaign knobs (DESIGN.md §13). The struct sentinels defer to
+    // Campaign knobs (DESIGN.md §12). The struct sentinels defer to
     // env so existing callers pick the behavior up without code
     // changes.
     const std::uint64_t timeoutMs =

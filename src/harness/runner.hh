@@ -5,7 +5,7 @@
  *
  * Sweeps run in parallel on a work-stealing pool (harness/pool.hh):
  * every run builds its own MemorySystem, streams and golden memory,
- * so jobs share no mutable state (DESIGN.md §12). Results are
+ * so jobs share no mutable state (DESIGN.md §11). Results are
  * bit-identical to a serial sweep and emitted in the same
  * workload-major order regardless of which job finishes first.
  */
@@ -68,7 +68,7 @@ struct SweepOptions
         preRunHook;
 };
 
-/** Aggregate outcome of one runSweep() call (DESIGN.md §13). */
+/** Aggregate outcome of one runSweep() call (DESIGN.md §12). */
 struct SweepOutcome
 {
     std::size_t total = 0;      //!< Grid cells requested.

@@ -149,7 +149,7 @@ makeRunKey(ConfigKind kind, const NamedWorkload &wl,
            const SystemParams &sp)
 {
     KeyHasher h;
-    h.str("d2m-run-key-v2");
+    h.str("d2m-run-key-v3");
     h.str(configKindName(kind));
     h.str(wl.suite);
     h.str(wl.name);
@@ -224,20 +224,6 @@ makeRunKey(ConfigKind kind, const NamedWorkload &wl,
     h.u64(sp.core.issueWidth);
     h.u64(sp.core.robEntries);
     h.u64(sp.core.mshrs);
-
-    const FaultParams &f = sp.fault;
-    h.b(f.enabled);
-    h.f64(f.metaFlipsPerMillion);
-    h.f64(f.dataFlipsPerMillion);
-    h.f64(f.dataLossPerMillion);
-    h.f64(f.nocDropPerMillion);
-    h.f64(f.nocDelayPerMillion);
-    h.b(f.parityDetection);
-    h.u64(f.sweepPeriod);
-    h.u64(f.seed);
-    h.u64(f.nocRetryTimeout);
-    h.u64(f.nocMaxRetries);
-    h.u64(f.nocMaxDelayHops);
 
     h.u64(sp.seed);
 

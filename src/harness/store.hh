@@ -1,6 +1,6 @@
 /**
  * @file
- * Durable campaign result store (DESIGN.md §13).
+ * Durable campaign result store (DESIGN.md §12).
  *
  * Every finished sweep cell — successful or not — is recorded as one
  * JSONL line in a sharded, append-only store under D2M_STORE_DIR.
@@ -60,8 +60,8 @@ struct RunKey
 /**
  * Hash everything that determines a run's output: config name, suite,
  * benchmark, warmup/measured instruction counts, every workload
- * parameter, every system parameter (latencies, core model, fault
- * model, toggles, seed) and the binary fingerprint. Any change to any
+ * parameter, every system parameter (latencies, core model,
+ * toggles, seed) and the binary fingerprint. Any change to any
  * of these yields a different key, so a resumed campaign never serves
  * a stale row for different inputs.
  */

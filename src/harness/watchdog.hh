@@ -11,7 +11,7 @@
  * Timeout, and every client is marked Drain once a SIGINT/SIGTERM
  * drain is requested. The run loop polls its cancel flag and raises a
  * fatal() that the per-thread abort capture converts into a
- * recoverable RunAborted outcome for just that cell (DESIGN.md §13).
+ * recoverable RunAborted outcome for just that cell (DESIGN.md §12).
  */
 
 #ifndef D2M_HARNESS_WATCHDOG_HH

@@ -16,13 +16,13 @@
 #ifndef D2M_NOC_INTERCONNECT_HH
 #define D2M_NOC_INTERCONNECT_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
-#include "fault/fault_injector.hh"
 #include "noc/message.hh"
 #include "obs/debug.hh"
 #include "obs/selfprof.hh"
@@ -51,8 +51,7 @@ class Interconnect : public SimObject
                       "D2M-only metadata messages (Fig 5 light bars)"),
           dataBytes(this, "dataBytes", "bytes of line-data payload"),
           sendDelay(this, "sendDelay",
-                    "per-message NoC delay distribution (hop latency "
-                    "plus fault-injected queuing/retransmission delay)"),
+                    "per-message NoC delay distribution"),
           numNodes_(num_nodes), lineSize_(line_size),
           hopLatency_(hop_latency)
     {
@@ -83,40 +82,12 @@ class Interconnect : public SimObject
                msgTypeName(type), bytes);
         // Exactly one noc_send trace record per counted message, so
         // post-hoc message counts recomputed from the trace match the
-        // Stats counters bit-for-bit (retries below are re-recorded).
+        // Stats counters bit-for-bit.
         obs::traceEvent(obs::TraceKind::NocSend, src, bytes, dst,
                         static_cast<std::uint64_t>(type));
-        Cycles lat = hopLatency_;
-        if (faults_) [[unlikely]] {
-            // Link faults: each retransmission of a dropped message is
-            // real traffic and is re-counted in full.
-            const FaultInjector::NocFault f = faults_->onNocSend();
-            if (f.retries > 0) {
-                warn_limited("NoC message %s %u -> %u dropped %u "
-                             "time(s); retransmitted",
-                             msgTypeName(type), src, dst, f.retries);
-            }
-            for (unsigned r = 0; r < f.retries; ++r) {
-                ++totalMessages;
-                totalBytes += bytes;
-                if (isD2mOnly(type))
-                    ++d2mMessages;
-                if (carriesData(type))
-                    dataBytes += lineSize_;
-                ++perType_[static_cast<size_t>(type)];
-                DTRACE(NoC, this, "retry %u/%u %u -> %u %s", r + 1,
-                       f.retries, src, dst, msgTypeName(type));
-                obs::traceEvent(obs::TraceKind::NocSend, src, bytes, dst,
-                                static_cast<std::uint64_t>(type));
-            }
-            lat += f.extraLatency;
-        }
-        sendDelay.sample(lat);
-        return lat;
+        sendDelay.sample(hopLatency_);
+        return hopLatency_;
     }
-
-    /** Bind the fault injector modeling link drops/delays. */
-    void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
 
     /**
      * Multicast @p type from @p src to every node whose bit is set in
@@ -160,7 +131,6 @@ class Interconnect : public SimObject
     unsigned numNodes_;
     unsigned lineSize_;
     Cycles hopLatency_;
-    FaultInjector *faults_ = nullptr;
     std::array<std::uint64_t, static_cast<size_t>(MsgType::NUM_TYPES)>
         perType_;
 };

@@ -30,8 +30,6 @@ msgTypeName(MsgType t)
       case MsgType::PressureUpdate: return "PressureUpdate";
       case MsgType::RegionFlush: return "RegionFlush";
       case MsgType::FlushAck: return "FlushAck";
-      case MsgType::ScrubReq: return "ScrubReq";
-      case MsgType::ScrubResp: return "ScrubResp";
       case MsgType::NUM_TYPES: break;
     }
     return "?";

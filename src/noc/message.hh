@@ -46,8 +46,6 @@ enum class MsgType : std::uint8_t
     PressureUpdate,  //!< Periodic NS-LLC pressure exchange (IV-B).
     RegionFlush,     //!< MD3 eviction forces a region out of a node.
     FlushAck,        //!< Node finished flushing a region.
-    ScrubReq,        //!< Fault recovery: consult MD3 / probe a node.
-    ScrubResp,       //!< Fault recovery: reply with region state.
 
     NUM_TYPES
 };
@@ -71,8 +69,6 @@ isD2mOnly(MsgType t)
       case MsgType::PressureUpdate:
       case MsgType::RegionFlush:
       case MsgType::FlushAck:
-      case MsgType::ScrubReq:
-      case MsgType::ScrubResp:
         return true;
       default:
         return false;
@@ -103,7 +99,7 @@ msgBytes(MsgType t, unsigned line_size)
     // Metadata replies/spills carry the 16 x 6-bit LI vector plus the
     // presence/private bits: ~16 bytes on the wire.
     if (t == MsgType::MDReply || t == MsgType::MD2Spill ||
-        t == MsgType::GetMD || t == MsgType::ScrubResp) {
+        t == MsgType::GetMD) {
         return header + 16;
     }
     return header;

@@ -17,10 +17,9 @@ namespace d2m::obs
 namespace
 {
 
-// Process ids of the four timeline tracks (see header).
+// Process ids of the three timeline tracks (see header).
 constexpr int kPidCores = 1;
 constexpr int kPidNoc = 2;
-constexpr int kPidFaults = 3;
 constexpr int kPidSim = 4;
 
 struct Event
@@ -71,7 +70,6 @@ chromeTraceFromJsonl(std::istream &in, std::ostream &out,
     std::vector<Event> events;
     std::set<std::uint64_t> coreTids;
     std::set<std::uint64_t> nocTids;
-    bool sawFaults = false;
     bool sawSim = false;
 
     std::string line;
@@ -156,15 +154,6 @@ chromeTraceFromJsonl(std::istream &in, std::ostream &out,
                        json::number(src) + ",\"dst\":" +
                        json::number(dst) + ",\"bytes\":" +
                        json::number(u64Field(rec, "bytes")) + "}}";
-        } else if (kind == "fault_inject" || kind == "fault_detect" ||
-                   kind == "fault_recover") {
-            sawFaults = true;
-            ev.body = head("i", kPidFaults, 0, ts, kind.c_str(),
-                           "fault");
-            ev.body += ",\"s\":\"t\",\"args\":{\"fault\":" +
-                       json::number(u64Field(rec, "fault")) +
-                       ",\"detail\":" +
-                       json::number(u64Field(rec, "detail")) + "}}";
         } else if (kind == "stats_reset" || kind == "run_end") {
             sawSim = true;
             ev.body = head("i", kPidSim, 0, ts, kind.c_str(), "sim");
@@ -222,8 +211,6 @@ chromeTraceFromJsonl(std::istream &in, std::ostream &out,
                       "ep" + std::to_string(tid), first);
         }
     }
-    if (sawFaults)
-        metaEvent(out, kPidFaults, 0, "process_name", "faults", first);
     if (sawSim)
         metaEvent(out, kPidSim, 0, "process_name", "sim", first);
     for (const Event &ev : events) {

@@ -1,20 +1,19 @@
 /**
  * @file
  * Chrome trace_event export: turns the TraceSink JSONL (obs/trace.hh,
- * DESIGN.md Section 10) into a Chrome "trace_event" JSON document
+ * DESIGN.md Section 9) into a Chrome "trace_event" JSON document
  * loadable in chrome://tracing and Perfetto (ui.perfetto.dev), giving
  * runs a visual timeline: one track per core (access slices whose
  * width is the service latency, instants for LI hops, region
  * reclassifications, upgrades and invalidations), one track per NoC
- * endpoint, a fault track, and a sim track carrying the stats-reset
- * marker and progress counters.
+ * endpoint, and a sim track carrying the stats-reset marker and
+ * progress counters.
  *
- * Mapping (DESIGN.md Section 11):
+ * Mapping (DESIGN.md Section 10):
  *   pid 1 "cores"  tid=node      access_complete -> "X" slices
  *                                (name "miss"/"hit", dur = latency),
  *                                li_hop/region_class/coh_* -> "i"
  *   pid 2 "noc"    tid=endpoint  noc_send/noc_recv -> "i"
- *   pid 3 "faults" tid=0         fault_* -> "i"
  *   pid 4 "sim"    tid=0         stats_reset/run_end -> "i" (global),
  *                                heartbeat -> "C" KIPS counter
  * access_issue records are dropped (the completion slice carries the

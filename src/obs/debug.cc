@@ -25,7 +25,6 @@ constexpr FlagName kFlagNames[] = {
     {Flag::Coherence, "Coherence"},
     {Flag::NoC, "NoC"},
     {Flag::Replacement, "Replacement"},
-    {Flag::Fault, "Fault"},
     {Flag::NSLLC, "NSLLC"},
     {Flag::Index, "Index"},
     {Flag::Exec, "Exec"},
@@ -52,7 +51,7 @@ flagName(Flag f)
 const char *
 allFlagNames()
 {
-    return "MD,Coherence,NoC,Replacement,Fault,NSLLC,Index,Exec,All";
+    return "MD,Coherence,NoC,Replacement,NSLLC,Index,Exec,All";
 }
 
 std::uint32_t

@@ -3,7 +3,7 @@
  * gem5-style debug-flag tracing.
  *
  * Each hierarchy component guards its trace output with a per-component
- * flag (MD, Coherence, NoC, Replacement, Fault, NSLLC, Index, Exec).
+ * flag (MD, Coherence, NoC, Replacement, NSLLC, Index, Exec).
  * Flags are enabled at runtime through the D2M_DEBUG environment
  * variable ("D2M_DEBUG=Coherence,NoC"; "All" enables everything; an
  * unknown name is a fatal configuration error). Every line is stamped
@@ -37,10 +37,9 @@ enum class Flag : std::uint32_t
     Coherence   = 1u << 1,  //!< Protocol cases, upgrades, invalidations.
     NoC         = 1u << 2,  //!< Interconnect message sends.
     Replacement = 1u << 3,  //!< Evictions, victim relocation.
-    Fault       = 1u << 4,  //!< Fault injection / detection / recovery.
-    NSLLC       = 1u << 5,  //!< Near-side slice placement / replication.
-    Index       = 1u << 6,  //!< Dynamic index scrambling.
-    Exec        = 1u << 7,  //!< Per-access issue/complete (very chatty).
+    NSLLC       = 1u << 4,  //!< Near-side slice placement / replication.
+    Index       = 1u << 5,  //!< Dynamic index scrambling.
+    Exec        = 1u << 6,  //!< Per-access issue/complete (very chatty).
 };
 
 /** Cached bitmask of enabled flags (parsed once from D2M_DEBUG). */

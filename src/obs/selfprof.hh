@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulation self-profiler (DESIGN.md §15).
+ * Simulation self-profiler (DESIGN.md §14).
  *
  * Two halves. The site register: every thread owns one word,
  * obs::sitePath, naming the instrumentation sites open on it, and a

@@ -11,7 +11,7 @@
  * mirror them to a CSV file (D2M_INTERVAL_CSV) for spreadsheet /
  * pandas consumption.
  *
- * Interval semantics (DESIGN.md Section 11):
+ * Interval semantics (DESIGN.md Section 10):
  *  - Rows carry absolute [start, end] instruction and tick stamps.
  *  - Rows completed before the warmup counter reset are flagged
  *    "warmup": the partial interval in flight when resetStats() fires

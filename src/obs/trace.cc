@@ -25,8 +25,7 @@ std::size_t envTraceBuf = 8192;
 constexpr const char *kKindNames[] = {
     "access_issue", "access_complete", "li_hop", "region_class",
     "coh_upgrade", "coh_downgrade", "noc_send", "noc_recv",
-    "fault_inject", "fault_detect", "fault_recover", "stats_reset",
-    "heartbeat", "selfprof", "run_end",
+    "stats_reset", "heartbeat", "selfprof", "run_end",
 };
 static_assert(sizeof(kKindNames) / sizeof(kKindNames[0]) ==
               static_cast<std::size_t>(TraceKind::NUM_KINDS));
@@ -138,12 +137,6 @@ traceToJson(const TraceRecord &rec)
         append(out, "msg",
                msgTypeName(static_cast<MsgType>(rec.b)));
         append(out, "bytes", rec.addr);
-        break;
-      case TraceKind::FaultInject:
-      case TraceKind::FaultDetect:
-      case TraceKind::FaultRecover:
-        append(out, "fault", rec.a);  // 0=meta 1=flip 2=loss / kind
-        append(out, "detail", rec.b);
         break;
       case TraceKind::StatsReset:
         break;

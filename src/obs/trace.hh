@@ -6,10 +6,10 @@
  * ring buffer; when D2M_TRACE_FILE is set, full buffers (and the final
  * flush) are written as JSONL — one JSON object per line — so paper
  * figures (per-kilo-instruction message counts, LI hop chains, region
- * classification churn, fault timelines) can be re-derived post-hoc
- * from a single trace instead of bespoke counters.
+ * classification churn) can be re-derived post-hoc from a single trace
+ * instead of bespoke counters.
  *
- * Record schema (DESIGN.md §10): every line carries "tick" and "kind";
+ * Record schema (DESIGN.md §9): every line carries "tick" and "kind";
  * the remaining fields are kind-specific. A "stats_reset" marker is
  * emitted when the warmup counters reset, so post-warmup aggregates
  * recomputed from the trace match the Stats counters exactly.
@@ -43,9 +43,6 @@ enum class TraceKind : std::uint8_t
     CohDowngrade,    //!< Invalidation delivered to a node.
     NocSend,         //!< One counted interconnect message.
     NocRecv,         //!< Message delivery (far-side multicasts).
-    FaultInject,     //!< Fault injected (meta/data/loss).
-    FaultDetect,     //!< Fault detected (parity/ECC).
-    FaultRecover,    //!< State rebuilt / line refetched.
     StatsReset,      //!< Warmup ended; Stats counters reset.
     Heartbeat,       //!< Periodic progress record.
     SelfProf,        //!< Cumulative self-profiler site counter.
@@ -59,7 +56,7 @@ const char *traceKindName(TraceKind k);
 /**
  * One compact in-memory record. Field meaning is kind-specific; the
  * JSONL encoder maps (node, addr, a, b) to semantic member names per
- * kind (see traceToJson and DESIGN.md §10).
+ * kind (see traceToJson and DESIGN.md §9).
  */
 struct TraceRecord
 {

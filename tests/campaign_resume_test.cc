@@ -3,7 +3,7 @@
  * Kill-and-resume equivalence: a campaign SIGKILLed mid-sweep and
  * resumed from its durable store must produce a D2M_STATS_JSON
  * document byte-identical (modulo host-timing fields) to an
- * uninterrupted campaign (DESIGN.md §13).
+ * uninterrupted campaign (DESIGN.md §12).
  *
  * Children fork before anything reads D2M_STATS_JSON (its path is
  * latched on first use), set their own store/json env, run the sweep

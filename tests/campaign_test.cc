@@ -3,7 +3,7 @@
  * Campaign fault isolation: a run that fatal()s, stalls, or drains
  * must be recorded as failed/timeout/abandoned while the rest of the
  * grid completes; bounded retries rerun only the broken cell
- * (DESIGN.md §13).
+ * (DESIGN.md §12).
  */
 
 #include <gtest/gtest.h>

@@ -2,9 +2,8 @@
  * @file
  * Negative tests for the D2M invariant checker (DESIGN.md Section 6):
  * each directed corruption must make checkInvariants() fail with a
- * message naming the broken invariant. Uses the fault model's directed
- * corruption API with mark=false, so the detection layer stays out of
- * the way and the checker sees the raw damage.
+ * message naming the broken invariant. D2mTestPeer writes the damage
+ * straight into the hierarchy's state, so the checker sees it raw.
  *
  *  1. Deterministic LI          -> "deterministic LI violated"
  *  2. Tracking completeness     -> "unreachable from any metadata LI"
@@ -17,31 +16,122 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "d2m/d2m_system.hh"
-#include "fault/d2m_fault_model.hh"
 #include "harness/configs.hh"
 #include "test_util.hh"
 
 namespace d2m
 {
+
+/**
+ * Directed corruption of a D2mSystem's private state (the system
+ * befriends this struct). Each helper returns false when the target
+ * entry does not exist.
+ */
+struct D2mTestPeer
+{
+    D2mSystem &sys;
+
+    bool
+    corruptNodeLi(NodeId node, std::uint64_t pregion, unsigned idx,
+                  LocationInfo li)
+    {
+        D2mSystem::ActiveMd amd =
+            sys.activeMdFor(node, pregion, /*charge_energy=*/false);
+        if (!amd.tracked())
+            return false;
+        amd.li()[idx] = li;
+        return true;
+    }
+
+    bool
+    corruptPrivateBit(NodeId node, std::uint64_t pregion, bool value)
+    {
+        D2mSystem::ActiveMd amd =
+            sys.activeMdFor(node, pregion, /*charge_energy=*/false);
+        if (!amd.tracked())
+            return false;
+        (amd.md1 ? amd.md1->privateBit : amd.md2->privateBit) = value;
+        return true;
+    }
+
+    bool
+    corruptMd3Pb(std::uint64_t pregion, std::uint64_t xor_mask)
+    {
+        Md3Entry *e3 = sys.md3_->probe(pregion);
+        if (!e3)
+            return false;
+        e3->pb ^= xor_mask;
+        return true;
+    }
+
+    /** Force the master flag on every copy of @p line_addr.
+     * @return copies found. */
+    unsigned
+    setMasterEverywhere(Addr line_addr)
+    {
+        std::uint32_t scramble = 0;
+        if (const Md3Entry *e3 = sys.md3_->probe(sys.regionOf(line_addr)))
+            scramble = e3->scramble;
+        std::vector<TaglessCache *> arrays;
+        for (auto &ctx : sys.nodes_) {
+            arrays.push_back(ctx.l1i.get());
+            arrays.push_back(ctx.l1d.get());
+            if (ctx.l2)
+                arrays.push_back(ctx.l2.get());
+        }
+        for (auto &slice : sys.llc_)
+            arrays.push_back(slice.get());
+        unsigned count = 0;
+        for (TaglessCache *c : arrays) {
+            const std::uint32_t set = c->setFor(line_addr, scramble);
+            for (std::uint32_t w = 0; w < c->assoc(); ++w) {
+                TaglessLine &slot = c->at(set, w);
+                if (slot.valid && slot.lineAddr == line_addr) {
+                    slot.master = true;
+                    ++count;
+                }
+            }
+        }
+        return count;
+    }
+
+    bool
+    dropMd2Entry(NodeId node, std::uint64_t pregion)
+    {
+        Md2Entry *e2 = sys.nodes_[node].md2->probe(pregion);
+        if (!e2)
+            return false;
+        e2->valid = false;
+        return true;
+    }
+
+    bool
+    dropMd3Entry(std::uint64_t pregion)
+    {
+        Md3Entry *e3 = sys.md3_->probe(pregion);
+        if (!e3)
+            return false;
+        e3->valid = false;
+        return true;
+    }
+};
+
 namespace
 {
 
 struct Fixture
 {
     std::unique_ptr<MemorySystem> owner;
-    D2mSystem *sys = nullptr;
-    D2mFaultModel *fm = nullptr;
+    D2mSystem *sys;
+    D2mTestPeer peer;
 
     explicit Fixture(ConfigKind kind = ConfigKind::D2mNsR)
-    {
-        SystemParams p;
-        p.fault.enabled = true;  // directed API only; all rates zero
-        owner = makeSystem(kind, p);
-        sys = dynamic_cast<D2mSystem *>(owner.get());
-        fm = sys->faultModel();
-    }
+        : owner(makeSystem(kind, SystemParams{})),
+          sys(dynamic_cast<D2mSystem *>(owner.get())), peer{*sys}
+    {}
 
     Addr
     lineAddrOf(Addr va) const
@@ -72,10 +162,9 @@ TEST(InvariantNegative, DeterministicLiViolated)
     const Addr va = 0x1000;
     test::run(*f.sys, 0, test::store(va, 1));
     // LLC way 31 is cold after one access: the LI cannot resolve.
-    ASSERT_TRUE(f.fm->corruptNodeLi(0, test::pregionOf(*f.sys, va),
-                                    f.idxOf(va),
-                                    LocationInfo::inLlc(0, 31),
-                                    /*mark=*/false));
+    ASSERT_TRUE(f.peer.corruptNodeLi(0, test::pregionOf(*f.sys, va),
+                                     f.idxOf(va),
+                                     LocationInfo::inLlc(0, 31)));
     const std::string why = test::invariantReport(*f.sys);
     EXPECT_NE(why.find("deterministic LI violated"), std::string::npos)
         << why;
@@ -86,9 +175,8 @@ TEST(InvariantNegative, InvalidLiInMetadata)
     Fixture f;
     const Addr va = 0x1000;
     test::run(*f.sys, 0, test::store(va, 1));
-    ASSERT_TRUE(f.fm->corruptNodeLi(0, test::pregionOf(*f.sys, va),
-                                    f.idxOf(va), LocationInfo::invalid(),
-                                    /*mark=*/false));
+    ASSERT_TRUE(f.peer.corruptNodeLi(0, test::pregionOf(*f.sys, va),
+                                     f.idxOf(va), LocationInfo::invalid()));
     const std::string why = test::invariantReport(*f.sys);
     EXPECT_NE(why.find("invalid LI in node metadata"), std::string::npos)
         << why;
@@ -101,9 +189,8 @@ TEST(InvariantNegative, UnreachableSlotDetected)
     test::run(*f.sys, 0, test::store(va, 1));
     // Repointing the LI at memory orphans the valid L1 slot: the
     // completeness pass must flag the leaked capacity.
-    ASSERT_TRUE(f.fm->corruptNodeLi(0, test::pregionOf(*f.sys, va),
-                                    f.idxOf(va), LocationInfo::mem(),
-                                    /*mark=*/false));
+    ASSERT_TRUE(f.peer.corruptNodeLi(0, test::pregionOf(*f.sys, va),
+                                     f.idxOf(va), LocationInfo::mem()));
     const std::string why = test::invariantReport(*f.sys);
     EXPECT_NE(why.find("unreachable from any metadata LI"),
               std::string::npos)
@@ -116,7 +203,7 @@ TEST(InvariantNegative, MultipleMastersDetected)
     const Addr va = 0x1000;
     test::run(*f.sys, 0, test::store(va, 1));
     test::run(*f.sys, 1, test::load(va));  // second copy in node 1
-    ASSERT_GE(f.fm->setMasterEverywhere(f.lineAddrOf(va)), 2u);
+    ASSERT_GE(f.peer.setMasterEverywhere(f.lineAddrOf(va)), 2u);
     const std::string why = test::invariantReport(*f.sys);
     EXPECT_NE(why.find("masters"), std::string::npos) << why;
 }
@@ -127,9 +214,8 @@ TEST(InvariantNegative, PbBitWithoutMd2Entry)
     const Addr va = 0x1000;
     test::run(*f.sys, 0, test::store(va, 1));
     // Node 3 never touched the region: its PB bit must not be set.
-    ASSERT_TRUE(f.fm->corruptMd3Pb(test::pregionOf(*f.sys, va),
-                                   std::uint64_t(1) << 3,
-                                   /*mark=*/false));
+    ASSERT_TRUE(f.peer.corruptMd3Pb(test::pregionOf(*f.sys, va),
+                                    std::uint64_t(1) << 3));
     const std::string why = test::invariantReport(*f.sys);
     EXPECT_NE(why.find("PB bit set for node without MD2 entry"),
               std::string::npos)
@@ -142,8 +228,8 @@ TEST(InvariantNegative, PrivateRegionWithMultiplePbBits)
     const Addr va = 0x1000;
     test::run(*f.sys, 0, test::store(va, 1));
     test::run(*f.sys, 1, test::load(va));  // region is now shared
-    ASSERT_TRUE(f.fm->corruptPrivateBit(0, test::pregionOf(*f.sys, va),
-                                        true, /*mark=*/false));
+    ASSERT_TRUE(f.peer.corruptPrivateBit(0, test::pregionOf(*f.sys, va),
+                                         true));
     const std::string why = test::invariantReport(*f.sys);
     EXPECT_NE(why.find("private region with multiple PB bits"),
               std::string::npos)
@@ -155,7 +241,7 @@ TEST(InvariantNegative, InclusionMd2Dropped)
     Fixture f;
     const Addr va = 0x1000;
     test::run(*f.sys, 0, test::store(va, 1));
-    ASSERT_TRUE(f.fm->dropMd2Entry(0, test::pregionOf(*f.sys, va)));
+    ASSERT_TRUE(f.peer.dropMd2Entry(0, test::pregionOf(*f.sys, va)));
     const std::string why = test::invariantReport(*f.sys);
     EXPECT_NE(why.find("without MD2"), std::string::npos) << why;
 }
@@ -165,7 +251,7 @@ TEST(InvariantNegative, InclusionMd3Dropped)
     Fixture f;
     const Addr va = 0x1000;
     test::run(*f.sys, 0, test::store(va, 1));
-    ASSERT_TRUE(f.fm->dropMd3Entry(test::pregionOf(*f.sys, va)));
+    ASSERT_TRUE(f.peer.dropMd3Entry(test::pregionOf(*f.sys, va)));
     const std::string why = test::invariantReport(*f.sys);
     EXPECT_NE(why.find("MD3"), std::string::npos) << why;
 }
@@ -177,11 +263,10 @@ TEST(InvariantNegative, CollectsMultipleViolations)
     const Addr va2 = 0x9000;  // different region
     test::run(*f.sys, 0, test::store(va1, 1));
     test::run(*f.sys, 0, test::store(va2, 2));
-    ASSERT_TRUE(f.fm->corruptNodeLi(0, test::pregionOf(*f.sys, va1),
-                                    f.idxOf(va1), LocationInfo::invalid(),
-                                    false));
-    ASSERT_TRUE(f.fm->corruptMd3Pb(test::pregionOf(*f.sys, va2),
-                                   std::uint64_t(1) << 3, false));
+    ASSERT_TRUE(f.peer.corruptNodeLi(0, test::pregionOf(*f.sys, va1),
+                                     f.idxOf(va1), LocationInfo::invalid()));
+    ASSERT_TRUE(f.peer.corruptMd3Pb(test::pregionOf(*f.sys, va2),
+                                    std::uint64_t(1) << 3));
     const std::string why = test::invariantReport(*f.sys);
     // Both independent violations appear in one report.
     EXPECT_NE(why.find("invalid LI in node metadata"), std::string::npos)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sweep-manifest tests (DESIGN.md §14): parse round-trip, the strict
+ * Sweep-manifest tests (DESIGN.md §13): parse round-trip, the strict
  * rejection of unknown/duplicate/malformed input, and the env-seeding
  * precedence rule (environment beats manifest) that makes a
  * manifest-driven campaign exactly the env-var-driven one.

@@ -44,9 +44,9 @@ TEST(DebugFlags, ParseList)
               static_cast<std::uint32_t>(Flag::Coherence) |
                   static_cast<std::uint32_t>(Flag::NoC));
     // Empty tokens and trailing commas are tolerated.
-    EXPECT_EQ(debug::parseFlags("MD,,Fault,"),
+    EXPECT_EQ(debug::parseFlags("MD,,Index,"),
               static_cast<std::uint32_t>(Flag::MD) |
-                  static_cast<std::uint32_t>(Flag::Fault));
+                  static_cast<std::uint32_t>(Flag::Index));
 }
 
 TEST(DebugFlags, AllEnablesEverything)
@@ -54,8 +54,8 @@ TEST(DebugFlags, AllEnablesEverything)
     const std::uint32_t all = debug::parseFlags("All");
     for (auto f : {debug::Flag::MD, debug::Flag::Coherence,
                    debug::Flag::NoC, debug::Flag::Replacement,
-                   debug::Flag::Fault, debug::Flag::NSLLC,
-                   debug::Flag::Index, debug::Flag::Exec}) {
+                   debug::Flag::NSLLC, debug::Flag::Index,
+                   debug::Flag::Exec}) {
         EXPECT_NE(all & static_cast<std::uint32_t>(f), 0u)
             << debug::flagName(f);
     }
@@ -70,14 +70,14 @@ TEST(DebugFlagsDeathTest, UnknownFlagIsFatal)
 
 TEST(DebugFlags, EnvRoundTrip)
 {
-    ::setenv("D2M_DEBUG", "Fault,Index", 1);
+    ::setenv("D2M_DEBUG", "Replacement,Index", 1);
     debug::initFromEnv();
-    EXPECT_TRUE(debug::enabled(debug::Flag::Fault));
+    EXPECT_TRUE(debug::enabled(debug::Flag::Replacement));
     EXPECT_TRUE(debug::enabled(debug::Flag::Index));
     EXPECT_FALSE(debug::enabled(debug::Flag::NoC));
     ::unsetenv("D2M_DEBUG");
     debug::initFromEnv();
-    EXPECT_FALSE(debug::enabled(debug::Flag::Fault));
+    EXPECT_FALSE(debug::enabled(debug::Flag::Replacement));
 }
 
 TEST(DebugFlags, DtraceEmitsTickPathAndFlag)
@@ -188,14 +188,11 @@ TEST(StatsJson, RoundTripsThroughParser)
     stats::StatGroup child("noc", &root);
     stats::Counter a(&root, "accesses", "");
     stats::Counter b(&child, "messages", "");
-    stats::Average lat(&root, "lat", "");
-    stats::Histogram h(&root, "dist", "", 10, 2);
+    stats::Histogram2 lat(&root, "lat", "");
     a += 41;
     b += 3;
     lat.sample(10);
     lat.sample(20);
-    h.sample(5);
-    h.sample(25);
 
     std::ostringstream os;
     root.printJson(os);
@@ -205,10 +202,9 @@ TEST(StatsJson, RoundTripsThroughParser)
     EXPECT_EQ(v["accesses"].asNumber(), 41.0);
     EXPECT_EQ(v["noc"]["messages"].asNumber(), 3.0);
     EXPECT_DOUBLE_EQ(v["lat"]["mean"].asNumber(), 15.0);
-    EXPECT_EQ(v["lat"]["count"].asNumber(), 2.0);
-    EXPECT_EQ(v["dist"]["samples"].asNumber(), 2.0);
-    ASSERT_EQ(v["dist"]["buckets"].array.size(), 3u);
-    EXPECT_EQ(v["dist"]["buckets"].array[0].asNumber(), 1.0);
+    EXPECT_EQ(v["lat"]["samples"].asNumber(), 2.0);
+    ASSERT_EQ(v["lat"]["buckets"].array.size(), 2u);
+    EXPECT_EQ(v["lat"]["buckets"].array[0]["count"].asNumber(), 1.0);
 }
 
 TEST(StatsJson, OutputIsDeterministic)
@@ -295,20 +291,6 @@ TEST(Profiler, FinishComputesNonNegativeRate)
 }
 
 // ------------------------------------------------------------- warnings
-
-TEST(Warnings, WarnLimitBudget)
-{
-    WarnLimit wl(3);
-    testing::internal::CaptureStderr();
-    int allowed = 0;
-    for (int i = 0; i < 10; ++i)
-        allowed += wl.allow() ? 1 : 0;
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_EQ(allowed, 3);
-    EXPECT_EQ(wl.count(), 10u);
-    EXPECT_EQ(wl.suppressed(), 7u);
-    EXPECT_NE(err.find("suppressing"), std::string::npos);
-}
 
 TEST(Warnings, WarnOnceFiresOnce)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Campaign progress-stream tests (DESIGN.md §14): the JSONL records a
+ * Campaign progress-stream tests (DESIGN.md §13): the JSONL records a
  * sweep emits to D2M_PROGRESS_JSON must follow the documented schema,
  * count every cell exactly once, and end with a "final":true record
  * that reconciles with the sweep outcome.

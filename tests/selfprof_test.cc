@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulation self-profiler tests (DESIGN.md §15):
+ * Simulation self-profiler tests (DESIGN.md §14):
  *
  *  - the site register: push/pop, restore on exception unwind, and
  *    one word per thread,

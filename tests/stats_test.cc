@@ -31,35 +31,6 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Stats, AverageBasics)
-{
-    StatGroup root("root");
-    Average a(&root, "lat", "average latency");
-    EXPECT_EQ(a.mean(), 0.0);
-    a.sample(10);
-    a.sample(20);
-    a.sample(30, 2);  // weighted
-    EXPECT_DOUBLE_EQ(a.mean(), (10 + 20 + 60) / 4.0);
-    EXPECT_EQ(a.count(), 4u);
-}
-
-TEST(Stats, HistogramBuckets)
-{
-    StatGroup root("root");
-    Histogram h(&root, "dist", "latency distribution", 10, 4);
-    h.sample(0);
-    h.sample(9);
-    h.sample(10);
-    h.sample(39);
-    h.sample(1000);  // overflow bucket
-    EXPECT_EQ(h.totalSamples(), 5u);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.bucketCount(4), 1u);  // overflow
-    EXPECT_NEAR(h.mean(), (0 + 9 + 10 + 39 + 1000) / 5.0, 1e-9);
-}
-
 TEST(Stats, GroupHierarchyPaths)
 {
     StatGroup root("system");
@@ -87,60 +58,15 @@ TEST(Stats, SnapshotValueIsMonotonicCountAndResets)
 {
     StatGroup root("root");
     Counter c(&root, "c", "");
-    Average a(&root, "a", "");
-    Histogram h(&root, "h", "", 10, 4);
     Histogram2 h2(&root, "h2", "");
     c += 7;
-    a.sample(10);
-    a.sample(20, 3);
-    h.sample(5);
     h2.sample(100);
-    h2.sample(200);
+    h2.sample(200, 3);
     EXPECT_EQ(c.snapshotValue(), 7u);
-    EXPECT_EQ(a.snapshotValue(), 4u);   // weighted sample count
-    EXPECT_EQ(h.snapshotValue(), 1u);
-    EXPECT_EQ(h2.snapshotValue(), 2u);
+    EXPECT_EQ(h2.snapshotValue(), 4u);  // weighted sample count
     root.resetStats();
     EXPECT_EQ(c.snapshotValue(), 0u);
-    EXPECT_EQ(a.snapshotValue(), 0u);
-    EXPECT_EQ(h.snapshotValue(), 0u);
     EXPECT_EQ(h2.snapshotValue(), 0u);
-}
-
-TEST(Stats, HistogramJsonCarriesBucketBounds)
-{
-    StatGroup root("root");
-    Histogram h(&root, "dist", "", 10, 2);
-    h.sample(0);
-    h.sample(15);
-    h.sample(1000);  // overflow
-    std::ostringstream os;
-    h.printJson(os);
-    json::Value v;
-    std::string err;
-    ASSERT_TRUE(json::parse(os.str(), v, err)) << os.str() << ": " << err;
-    // bounds[i] is bucket i's inclusive lower edge; same length as
-    // buckets, the last bucket being the unbounded overflow bin.
-    ASSERT_EQ(v["buckets"].array.size(), 3u);
-    ASSERT_EQ(v["bounds"].array.size(), 3u);
-    EXPECT_EQ(v["bounds"].array[0].asNumber(), 0.0);
-    EXPECT_EQ(v["bounds"].array[1].asNumber(), 10.0);
-    EXPECT_EQ(v["bounds"].array[2].asNumber(), 20.0);
-    EXPECT_EQ(v["buckets"].array[0].asNumber(), 1.0);
-    EXPECT_EQ(v["buckets"].array[1].asNumber(), 1.0);
-    EXPECT_EQ(v["buckets"].array[2].asNumber(), 1.0);
-}
-
-TEST(Stats, HistogramTextOutputHasNoBounds)
-{
-    // The bounds live in the JSON export only; the text report keeps
-    // its historical shape.
-    StatGroup root("root");
-    Histogram h(&root, "dist", "", 10, 2);
-    h.sample(5);
-    std::ostringstream os;
-    root.printStats(os);
-    EXPECT_EQ(os.str().find("bounds"), std::string::npos);
 }
 
 TEST(Stats, Histogram2SmallValuesAreExact)
@@ -212,10 +138,14 @@ TEST(Stats, Histogram2JsonIsSparseAndParses)
     EXPECT_EQ(v["samples"].asNumber(), 3.0);
     EXPECT_EQ(v["min"].asNumber(), 3.0);
     EXPECT_EQ(v["max"].asNumber(), 100000.0);
-    // Two occupied buckets only: the encoding is sparse.
+    // Two occupied buckets only: the encoding is sparse. Each carries
+    // its inclusive edges.
     ASSERT_EQ(v["buckets"].array.size(), 2u);
     EXPECT_EQ(v["buckets"].array[0]["lo"].asNumber(), 3.0);
+    EXPECT_EQ(v["buckets"].array[0]["hi"].asNumber(), 3.0);
     EXPECT_EQ(v["buckets"].array[0]["count"].asNumber(), 2.0);
+    EXPECT_LE(v["buckets"].array[1]["lo"].asNumber(), 100000.0);
+    EXPECT_GE(v["buckets"].array[1]["hi"].asNumber(), 100000.0);
     EXPECT_GE(v["p50"].asNumber(), 3.0);
 }
 

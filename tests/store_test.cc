@@ -2,7 +2,7 @@
  * @file
  * Durable result store: record round-trips, last-record-wins
  * reloads, torn-line tolerance, and run-key stability/uniqueness
- * (DESIGN.md §13).
+ * (DESIGN.md §12).
  */
 
 #include <gtest/gtest.h>
@@ -176,7 +176,7 @@ TEST(RunKeys, StableAndSensitiveToInputs)
     EXPECT_NE(a.hash,
               makeRunKey(ConfigKind::Base2L, wl, 500, 1000, sp2).hash);
     SystemParams sp3;
-    sp3.fault.enabled = true;
+    sp3.md3LockBits = sp.md3LockBits + 1;
     EXPECT_NE(a.hash,
               makeRunKey(ConfigKind::Base2L, wl, 500, 1000, sp3).hash);
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Campaign driver: the full (configs x workloads) grid as one
- * crash-safe, resumable run (DESIGN.md §13).
+ * crash-safe, resumable run (DESIGN.md §12).
  *
  * Usage: d2m_campaign [--manifest=FILE]
  *
