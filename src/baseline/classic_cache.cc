@@ -3,29 +3,27 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "mem/replacement.hh"
 
 namespace d2m
 {
 
 ClassicCache::ClassicCache(std::string name, SimObject *parent,
                            std::uint32_t total_lines, std::uint32_t assoc,
-                           unsigned line_shift, ReplKind repl)
+                           unsigned line_shift)
     : SimObject(std::move(name), parent),
       geom_(total_lines, assoc, line_shift),
       lines_(total_lines),
       tagMirror_(total_lines, invalidAddr),
-      replStates_(total_lines),
-      repl_(makeReplacement(repl))
+      stamps_(total_lines)
 {}
 
 ClassicLine *
 ClassicCache::lookup(Addr line_addr)
 {
     ClassicLine *line = probe(line_addr);
-    if (line) {
-        ++clock_;
-        repl_->touch(replStates_[indexOf(*line)], clock_);
-    }
+    if (line)
+        stamps_[indexOf(*line)] = ++clock_;
     return line;
 }
 
@@ -61,9 +59,8 @@ ClassicCache::victimFor(Addr line_addr)
         if (!base[w].valid())
             return base[w];
     }
-    const std::uint32_t victim = repl_->victim(
-        replStates_.data() + set * geom_.assoc(), geom_.assoc(), nullptr);
-    return base[victim];
+    return base[lruVictim(stamps_.data() + set * geom_.assoc(),
+                          geom_.assoc())];
 }
 
 void
@@ -79,8 +76,7 @@ ClassicCache::install(ClassicLine &slot, Addr line_addr, Mesi state,
     slot.sharers = 0;
     slot.owner = invalidNode;
     tagMirror_[indexOf(slot)] = line_addr;
-    ++clock_;
-    repl_->install(replStates_[indexOf(slot)], clock_);
+    stamps_[indexOf(slot)] = ++clock_;
 }
 
 bool
@@ -88,10 +84,10 @@ ClassicCache::isMru(const ClassicLine &line) const
 {
     const std::uint32_t base =
         geom_.setIndex(line.lineAddr << geom_.unitShift()) * geom_.assoc();
-    const std::uint64_t touch = replStates_[indexOf(line)].lastTouch;
+    const std::uint64_t touch = stamps_[indexOf(line)];
     for (std::uint32_t w = 0; w < geom_.assoc(); ++w) {
         const ClassicLine &other = lines_[base + w];
-        if (other.valid() && replStates_[base + w].lastTouch > touch)
+        if (other.valid() && stamps_[base + w] > touch)
             return false;
     }
     return true;

@@ -16,7 +16,6 @@
 
 #include "common/types.hh"
 #include "mem/geometry.hh"
-#include "mem/replacement.hh"
 #include "sim/sim_object.hh"
 
 namespace d2m
@@ -57,7 +56,7 @@ class ClassicCache : public SimObject
   public:
     ClassicCache(std::string name, SimObject *parent,
                  std::uint32_t total_lines, std::uint32_t assoc,
-                 unsigned line_shift, ReplKind repl = ReplKind::LRU);
+                 unsigned line_shift);
 
     /** @return the line holding @p line_addr, or nullptr on miss.
      * Updates recency on hit. */
@@ -114,9 +113,8 @@ class ClassicCache : public SimObject
      * the only valid-making writer of lineAddr).
      */
     std::vector<Addr> tagMirror_;
-    /** Per-line replacement state, contiguous per set (SoA). */
-    std::vector<ReplState> replStates_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    /** Per-line LRU stamps, contiguous per set (SoA). */
+    std::vector<std::uint64_t> stamps_;
     std::uint64_t clock_ = 0;
 };
 

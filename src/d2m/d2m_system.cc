@@ -40,6 +40,8 @@ D2mSystem::D2mSystem(std::string name, const SystemParams &params)
       codec_(params.numNodes, params.nearSideLlc ? params.numNodes : 1,
              params.nearSideLlc ? params.llc.assoc / params.numNodes
                                 : params.llc.assoc),
+      placement_(params.nearSideLlc ? params.numNodes : 1,
+                 params.nsRemoteAllocShare, params.seed ^ 0x9157ull),
       scrambler_(params.dynamicIndexing, params.seed ^ 0xd2d2d2d2ull),
       stats_("hier", this),
       events_("events", this)
@@ -90,17 +92,6 @@ D2mSystem::D2mSystem(std::string name, const SystemParams &params)
 
     md3_ = std::make_unique<RegionStore<Md3Entry>>(
         "md3", this, params.md3Entries, params.md3Assoc);
-
-    if (nearSide_) {
-        placement_ = std::make_unique<PressurePlacementPolicy>(
-            slices, params.nsRemoteAllocShare, params.seed ^ 0x9157ull);
-    } else {
-        placement_ = std::make_unique<FarSidePlacementPolicy>();
-    }
-    if (params.replication)
-        replication_ = std::make_unique<PaperReplicationPolicy>();
-    else
-        replication_ = std::make_unique<NoReplicationPolicy>();
 
     nextPressureEpoch_ = params.nsPressurePeriod;
 }
@@ -186,6 +177,7 @@ Md1Entry &
 D2mSystem::promoteToMd1(NodeId node, bool side_i, AsId asid, Addr vaddr,
                         Md2Entry &e2)
 {
+    obs::ProfScope prof(obs::ProfSite::Md1Promote);
     auto &md1 = md1For(node, side_i);
     const std::uint64_t key = md1Key(asid, vaddr);
     Md1Entry &slot = md1.victimFor(key);
@@ -302,16 +294,20 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
     if (!e3) {
         // D4: uncached -> private. Allocate an MD3 entry.
         ++events_.d4;
-        auto cost = [this](const Md3Entry &e) {
-            unsigned tracked = 0;
-            for (unsigned i = 0; i < params_.regionLines; ++i)
-                if (e.li[i].kind == LiKind::Llc)
-                    ++tracked;
-            return static_cast<double>(4 * popCountU64(e.pb) + tracked);
-        };
-        Md3Entry &slot = md3_->victimFor(pregion, cost);
-        if (slot.valid)
-            globalMd3Evict(slot);
+        Md3Entry &slot = [&]() -> Md3Entry & {
+            obs::ProfScope evict_prof(obs::ProfSite::Md3Evict);
+            auto cost = [this](const Md3Entry &e) {
+                unsigned tracked = 0;
+                for (unsigned i = 0; i < params_.regionLines; ++i)
+                    if (e.li[i].kind == LiKind::Llc)
+                        ++tracked;
+                return 4 * popCountU64(e.pb) + tracked;
+            };
+            Md3Entry &victim = md3_->victimFor(pregion, cost);
+            if (victim.valid)
+                globalMd3Evict(victim);
+            return victim;
+        }();
         md3_->bind(slot, pregion);
         slot.pb = std::uint64_t(1) << node;
         slot.scramble = scrambler_.next();
@@ -428,9 +424,12 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
             if (lis[i].isLocalCache())
                 ++local;
         }
-        return static_cast<double>(local);
+        return local;
     };
-    Md2Entry &slot2 = ctx.md2->victimFor(pregion, cost2);
+    Md2Entry &slot2 = [&]() -> Md2Entry & {
+        obs::ProfScope victim_prof(obs::ProfSite::Md2Victim);
+        return ctx.md2->victimFor(pregion, cost2);
+    }();
     if (slot2.valid)
         nodeRegionEvict(node, slot2.key);
     ctx.md2->bind(slot2, pregion);
@@ -570,12 +569,12 @@ LocationInfo
 D2mSystem::allocateVictimInLlc(NodeId node, Addr line_addr,
                                std::uint32_t scramble)
 {
-    const std::uint32_t slice = placement_->chooseSlice(node);
+    const std::uint32_t slice = nearSide_ ? placement_.chooseSlice(node) : 0;
     TaglessCache &arr = *llc_[slice];
     const std::uint32_t set = arr.setFor(line_addr, scramble);
     const std::uint32_t way = arr.victimWay(set);
     evictLlcSlot(slice, set, way);
-    placement_->recordReplacement(slice);
+    placement_.recordReplacement(slice);
     return LocationInfo::inLlc(slice, way);
 }
 
@@ -912,6 +911,7 @@ D2mSystem::evictL2Slot(NodeId node, std::uint32_t set, std::uint32_t way)
 void
 D2mSystem::nodeRegionEvict(NodeId node, std::uint64_t pregion)
 {
+    obs::ProfScope prof(obs::ProfSite::RegionEvict);
     ++events_.md2Spills;
     DTRACE(MD, this, "node%u MD2 spill region 0x%llx (flush local copies)",
            node, static_cast<unsigned long long>(pregion));
@@ -1284,7 +1284,7 @@ D2mSystem::replicateToLocalSlice(NodeId node, Addr line_addr,
     slot.rp = master;
     arr.markInstalled(set, way);
     energy_.count(Structure::LlcData);
-    placement_->recordReplacement(node);
+    placement_.recordReplacement(node);
     if (is_ifetch)
         ++events_.replicationsInst;
     else
@@ -1328,7 +1328,7 @@ D2mSystem::pressureEpoch(Tick now)
         return;
     DTRACE(NSLLC, this, "pressure-exchange epoch at tick %llu",
            static_cast<unsigned long long>(now));
-    placement_->exchangeEpoch();
+    placement_.exchangeEpoch();
     for (NodeId a = 0; a < params_.numNodes; ++a)
         noc_.multicast(a, ~std::uint64_t(0), MsgType::PressureUpdate);
     nextPressureEpoch_ = now + params_.nsPressurePeriod;
@@ -1558,8 +1558,9 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                 nearSide_ && master_now.kind == LiKind::Llc &&
                 master_now.node == node;
             LocationInfo rp = master_now;
-            if (nearSide_ && !md.privateBit() && !already_local_slice &&
-                replication_->shouldReplicate(
+            if (nearSide_ && params_.replication && !md.privateBit() &&
+                !already_local_slice &&
+                shouldReplicate(
                     side_i,
                     master_now.kind == LiKind::Llc &&
                         master_now.node != node,

@@ -288,8 +288,7 @@ class D2mSystem : public MemorySystem
     std::vector<std::unique_ptr<TaglessCache>> llc_;  //!< One per slice.
     std::unique_ptr<RegionStore<Md3Entry>> md3_;
 
-    std::unique_ptr<NsPlacementPolicy> placement_;
-    std::unique_ptr<ReplicationPolicy> replication_;
+    PressurePlacementPolicy placement_;  //!< Consulted on NS-LLC only.
     IndexScrambler scrambler_;
 
     Tick nextPressureEpoch_ = 0;

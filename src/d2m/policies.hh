@@ -3,8 +3,7 @@
  * Data-oriented optimization policies layered on the D2M mechanism
  * (paper Section IV). The paper stresses that D2M's contribution is
  * the mechanism, not the policies, and deliberately evaluates very
- * simple heuristics; these classes implement exactly those heuristics
- * but are replaceable through the virtual interfaces.
+ * simple heuristics; this file implements exactly those heuristics.
  */
 
 #ifndef D2M_D2M_POLICIES_HH
@@ -20,31 +19,12 @@ namespace d2m
 {
 
 /**
- * NS-LLC placement policy interface: pick the slice that receives a
- * node's newly allocated victim location (Section IV-B).
+ * NS-LLC placement (Section IV-B), the paper's pressure heuristic:
+ * allocate a node's victim locally when the local slice's pressure
+ * (replacements per epoch) is not above the others'; otherwise
+ * allocate 80% locally and 20% in the least-pressured remote slice.
  */
-class NsPlacementPolicy
-{
-  public:
-    virtual ~NsPlacementPolicy() = default;
-
-    /** Record one replacement in @p slice (the pressure signal). */
-    virtual void recordReplacement(std::uint32_t slice) = 0;
-
-    /** Periodic pressure exchange (every 10k cycles in the paper). */
-    virtual void exchangeEpoch() = 0;
-
-    /** Choose the slice for an allocation by @p node. */
-    virtual std::uint32_t chooseSlice(NodeId node) = 0;
-};
-
-/**
- * The paper's pressure heuristic: allocate locally when the local
- * slice's pressure (replacements per epoch) is not above the others';
- * otherwise allocate 80% locally and 20% in the least-pressured
- * remote slice.
- */
-class PressurePlacementPolicy : public NsPlacementPolicy
+class PressurePlacementPolicy
 {
   public:
     PressurePlacementPolicy(unsigned num_slices, double remote_share,
@@ -53,21 +33,20 @@ class PressurePlacementPolicy : public NsPlacementPolicy
           remoteShare_(remote_share), rng_(seed)
     {}
 
-    void
-    recordReplacement(std::uint32_t slice) override
-    {
-        ++counts_[slice];
-    }
+    /** Record one replacement in @p slice (the pressure signal). */
+    void recordReplacement(std::uint32_t slice) { ++counts_[slice]; }
 
+    /** Periodic pressure exchange (every 10k cycles in the paper). */
     void
-    exchangeEpoch() override
+    exchangeEpoch()
     {
         shared_ = counts_;
         for (auto &c : counts_)
             c = 0;
     }
 
-    std::uint32_t chooseSlice(NodeId node) override;
+    /** Choose the slice for an allocation by @p node. */
+    std::uint32_t chooseSlice(NodeId node);
 
   private:
     std::vector<std::uint64_t> counts_;   //!< Current epoch.
@@ -76,58 +55,17 @@ class PressurePlacementPolicy : public NsPlacementPolicy
     Rng rng_;
 };
 
-/** Far-side trivial policy: everything goes to slice 0. */
-class FarSidePlacementPolicy : public NsPlacementPolicy
-{
-  public:
-    void recordReplacement(std::uint32_t) override {}
-    void exchangeEpoch() override {}
-    std::uint32_t chooseSlice(NodeId) override { return 0; }
-};
-
 /**
- * Replication policy interface (Section IV-C): decide whether a line
- * read from a non-local location should be replicated into the
- * reader's NS slice.
+ * Replication heuristic (Section IV-C): should a line read from a
+ * non-local location be replicated into the reader's NS slice?
+ * Instructions always; data only when served from the MRU position of
+ * a remote slice.
  */
-class ReplicationPolicy
+inline bool
+shouldReplicate(bool is_ifetch, bool from_remote_slice, bool was_mru)
 {
-  public:
-    virtual ~ReplicationPolicy() = default;
-
-    /**
-     * @param is_ifetch    instruction read
-     * @param from_remote_slice  served by another node's NS slice
-     * @param was_mru      the served line was MRU in its set
-     */
-    virtual bool shouldReplicate(bool is_ifetch, bool from_remote_slice,
-                                 bool was_mru) const = 0;
-};
-
-/** The paper's heuristic: instructions always; data on remote MRU. */
-class PaperReplicationPolicy : public ReplicationPolicy
-{
-  public:
-    bool
-    shouldReplicate(bool is_ifetch, bool from_remote_slice,
-                    bool was_mru) const override
-    {
-        if (is_ifetch)
-            return true;
-        return from_remote_slice && was_mru;
-    }
-};
-
-/** Disabled replication (D2M-FS / D2M-NS). */
-class NoReplicationPolicy : public ReplicationPolicy
-{
-  public:
-    bool
-    shouldReplicate(bool, bool, bool) const override
-    {
-        return false;
-    }
-};
+    return is_ifetch || (from_remote_slice && was_mru);
+}
 
 /**
  * Dynamic-indexing scrambler (Section IV-D): produces the random index

@@ -4,9 +4,9 @@
  *
  * Entries are keyed by a 64-bit region key: the physical region number
  * for MD2/MD3, and a (asid, virtual-region) composite for the
- * virtually-tagged MD1. Victim selection can be cost-biased, which the
- * metadata stores use to prefer evicting regions that track few
- * cachelines (Section II-A) or have few sharers (MD3).
+ * virtually-tagged MD1. MD1 evicts by plain LRU; MD2 and MD3 pass an
+ * eviction cost to prefer regions that track few cachelines
+ * (Section II-A) or have few sharers (MD3).
  *
  * Hot-field SoA layout: the entry structs carry whole LI vectors, so a
  * tag scan over the full Entry array touches one distant cache line
@@ -17,14 +17,13 @@
  *    maintain the mirror — a stale mirror slot is filtered, and a
  *    false negative is impossible because bind() is the only way an
  *    entry becomes valid for a key.
- *  - replStates_: per-way replacement state, handed to the policy as a
+ *  - stamps_: per-way LRU stamps, handed to the victim functions as a
  *    contiguous slice (no per-eviction pointer-vector fill).
  */
 
 #ifndef D2M_D2M_REGION_STORE_HH
 #define D2M_D2M_REGION_STORE_HH
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -39,18 +38,21 @@ namespace d2m
 /** Set-associative array of region entries of type @p Entry.
  *
  * @p Entry must provide: bool valid and std::uint64_t key.
- * Replacement state lives in the store, not the entry.
+ * Recency stamps live in the store, not the entry.
  */
 template <typename Entry>
 class RegionStore : public SimObject
 {
   public:
     RegionStore(std::string name, SimObject *parent, std::uint32_t entries,
-                std::uint32_t assoc, ReplKind repl = ReplKind::CostAwareLru)
+                std::uint32_t assoc)
         : SimObject(std::move(name), parent)
     {
         fatal_if(entries == 0 || assoc == 0 || entries % assoc != 0,
                  "bad region store geometry %u/%u", entries, assoc);
+        fatal_if(assoc > maxRankedWays,
+                 "region store associativity %u exceeds %u", assoc,
+                 maxRankedWays);
         sets_ = entries / assoc;
         fatal_if(!isPowerOf2(sets_), "region store sets must be 2^k");
         assoc_ = assoc;
@@ -58,8 +60,7 @@ class RegionStore : public SimObject
         // ~0 is an implausible region key; even if it ever occurred,
         // a mirror match is only a candidate (verified below).
         keys_.resize(entries, ~std::uint64_t{0});
-        replStates_.resize(entries);
-        repl_ = makeReplacement(repl);
+        stamps_.resize(entries);
     }
 
     /**
@@ -82,7 +83,7 @@ class RegionStore : public SimObject
     {
         Entry *e = probe(key);
         if (e)
-            repl_->touch(replStates_[indexOf(*e)], ++clock_);
+            stamps_[indexOf(*e)] = ++clock_;
         return e;
     }
 
@@ -122,32 +123,41 @@ class RegionStore : public SimObject
     }
 
     /**
-     * Choose a victim slot in @p key's set. Invalid slots win;
-     * otherwise @p cost_of (if provided) biases toward cheap victims.
-     * The caller must clean out a valid victim before reuse.
+     * Choose a victim slot in @p key's set: an invalid slot if there
+     * is one, else the LRU entry. The caller must clean out a valid
+     * victim before reuse.
      */
     Entry &
     victimFor(std::uint64_t key)
     {
-        return victimImpl(key, ReplCostFn{});
+        const std::uint32_t base = setOf(key) * assoc_;
+        if (Entry *e = invalidSlot(base))
+            return *e;
+        return entries_[base + lruVictim(stamps_.data() + base, assoc_)];
     }
 
+    /** As victimFor(key), but a valid victim is chosen by
+     * costAwareLruVictim() with the unsigned cost_of(entry). */
     template <typename CostFn>
     Entry &
     victimFor(std::uint64_t key, const CostFn &cost_of)
     {
         const std::uint32_t base = setOf(key) * assoc_;
-        auto cost = [&](std::uint32_t w) {
+        if (Entry *e = invalidSlot(base))
+            return *e;
+        const auto cost = [&](std::uint32_t w) {
             return cost_of(entries_[base + w]);
         };
-        return victimImpl(key, ReplCostFn(cost));
+        return entries_[base +
+                        costAwareLruVictim(stamps_.data() + base, assoc_,
+                                           cost)];
     }
 
     /** Stamp @p e as freshly installed. */
     void
     markInstalled(Entry &e)
     {
-        repl_->install(replStates_[indexOf(e)], ++clock_);
+        stamps_[indexOf(e)] = ++clock_;
     }
 
     /** Entry at an explicit (set, way) — models TP-style pointers. */
@@ -201,18 +211,15 @@ class RegionStore : public SimObject
         return static_cast<std::uint32_t>(&e - entries_.data());
     }
 
-    Entry &
-    victimImpl(std::uint64_t key, ReplCostFn cost)
+    /** First invalid slot of the set starting at @p base, if any. */
+    Entry *
+    invalidSlot(std::uint32_t base)
     {
-        const std::uint32_t base = setOf(key) * assoc_;
         for (std::uint32_t w = 0; w < assoc_; ++w) {
-            Entry &e = entries_[base + w];
-            if (!e.valid)
-                return e;
+            if (!entries_[base + w].valid)
+                return &entries_[base + w];
         }
-        const std::uint32_t w =
-            repl_->victim(replStates_.data() + base, assoc_, cost);
-        return entries_[base + w];
+        return nullptr;
     }
 
     std::uint32_t sets_ = 0;
@@ -220,9 +227,8 @@ class RegionStore : public SimObject
     std::vector<Entry> entries_;
     /** Packed probe mirror of entry keys (see file comment). */
     std::vector<std::uint64_t> keys_;
-    /** Per-way replacement state, contiguous per set. */
-    std::vector<ReplState> replStates_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    /** Per-way LRU stamps, contiguous per set. */
+    std::vector<std::uint64_t> stamps_;
     std::uint64_t clock_ = 0;
 };
 

@@ -78,8 +78,7 @@ class TaglessCache : public SimObject
                  unsigned line_shift, bool scrambled = false)
         : SimObject(std::move(name), parent),
           geom_(total_lines, assoc, line_shift), lines_(total_lines),
-          replStates_(total_lines), repl_(makeReplacement(ReplKind::LRU)),
-          scrambled_(scrambled)
+          stamps_(total_lines), scrambled_(scrambled)
     {}
 
     /** Set index for @p line_addr under region scramble @p scramble. */
@@ -107,14 +106,14 @@ class TaglessCache : public SimObject
     void
     touch(std::uint32_t set, std::uint32_t way)
     {
-        repl_->touch(replStates_[set * geom_.assoc() + way], ++clock_);
+        stamps_[set * geom_.assoc() + way] = ++clock_;
     }
 
     /** Stamp a slot freshly installed. */
     void
     markInstalled(std::uint32_t set, std::uint32_t way)
     {
-        repl_->install(replStates_[set * geom_.assoc() + way], ++clock_);
+        stamps_[set * geom_.assoc() + way] = ++clock_;
     }
 
     /** Choose a victim way in @p set (invalid ways first). */
@@ -125,8 +124,8 @@ class TaglessCache : public SimObject
             if (!at(set, w).valid)
                 return w;
         }
-        return repl_->victim(replStates_.data() + set * geom_.assoc(),
-                             geom_.assoc(), nullptr);
+        return lruVictim(stamps_.data() + set * geom_.assoc(),
+                         geom_.assoc());
     }
 
     /** @return true if (set, way) holds the MRU line of its set —
@@ -135,10 +134,10 @@ class TaglessCache : public SimObject
     isMru(std::uint32_t set, std::uint32_t way) const
     {
         const std::uint32_t base = set * geom_.assoc();
-        const std::uint64_t touch = replStates_[base + way].lastTouch;
+        const std::uint64_t touch = stamps_[base + way];
         for (std::uint32_t w = 0; w < geom_.assoc(); ++w) {
             if (w != way && at(set, w).valid &&
-                replStates_[base + w].lastTouch > touch) {
+                stamps_[base + w] > touch) {
                 return false;
             }
         }
@@ -162,9 +161,8 @@ class TaglessCache : public SimObject
   private:
     SetAssocGeometry geom_;
     std::vector<TaglessLine> lines_;
-    /** Per-line replacement state, contiguous per set (SoA). */
-    std::vector<ReplState> replStates_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    /** Per-line LRU stamps, contiguous per set (SoA). */
+    std::vector<std::uint64_t> stamps_;
     std::uint64_t clock_ = 0;
     bool scrambled_ = false;
 };

@@ -1,126 +1,91 @@
 /**
  * @file
- * Replacement policy interfaces and implementations.
+ * Victim selection over the ways of one set.
  *
- * Policies operate on one set at a time through small per-way state
- * blocks. The caller hands victim() a contiguous slice of per-way
- * ReplState (the stores keep replacement state in a packed parallel
- * array, not inside the line/entry structs), so a set scan touches
- * one or two cache lines instead of chasing N pointers.
- *
- * Three policies are provided:
- *  - LRU: classic least-recently-used.
- *  - Random: deterministic pseudo-random victim choice.
- *  - CostAwareLru: LRU biased by an externally supplied eviction cost,
- *    used for metadata stores where the paper prefers victims that
- *    track few cachelines / few sharers (Sections II-A and III).
+ * Each store keeps one packed per-way array of recency stamps (a
+ * store-wide counter, bumped on every use and install) and hands the
+ * slice of one set to these functions, so a victim scan touches one
+ * or two cache lines instead of chasing N pointers. Two rules cover
+ * every store:
+ *  - lruVictim: classic least-recently-used, for the data arrays
+ *    (classic and tag-less) and MD1.
+ *  - costAwareLruVictim: LRU biased by an eviction cost, for MD2 and
+ *    MD3, where the paper prefers victims that track few cachelines
+ *    or have few sharers (Sections II-A and III).
  */
 
 #ifndef D2M_MEM_REPLACEMENT_HH
 #define D2M_MEM_REPLACEMENT_HH
 
 #include <cstdint>
-#include <memory>
-
-#include "common/func_ref.hh"
-#include "common/rng.hh"
-#include "common/types.hh"
+#include <type_traits>
 
 namespace d2m
 {
 
-/** Per-way replacement state (interpreted by the owning policy). */
-struct ReplState
-{
-    std::uint64_t lastTouch = 0;
-};
-
-/** Eviction-cost callback for cost-aware policies (way index in). */
-using ReplCostFn = FuncRef<double(std::uint32_t)>;
-
-/** Abstract replacement policy over the ways of one set. */
-class ReplacementPolicy
-{
-  public:
-    virtual ~ReplacementPolicy() = default;
-
-    /** Record a use of a way at time @p now. */
-    virtual void touch(ReplState &state, Tick now) = 0;
-
-    /** Record the initial installation into a way at time @p now. */
-    virtual void install(ReplState &state, Tick now) = 0;
-
-    /**
-     * Pick a victim among the @p n ways whose replacement state sits
-     * at @p ways. @p cost_of gives the eviction cost of each way
-     * (ignored by cost-oblivious policies); invalid ways are
-     * pre-filtered by the caller.
-     * @return the index of the chosen victim.
-     */
-    virtual std::uint32_t victim(const ReplState *ways, std::uint32_t n,
-                                 ReplCostFn cost_of) = 0;
-};
-
-/** Least-recently-used. */
-class LruPolicy : public ReplacementPolicy
-{
-  public:
-    void touch(ReplState &state, Tick now) override { state.lastTouch = now; }
-    void install(ReplState &state, Tick now) override
-    {
-        state.lastTouch = now;
-    }
-
-    std::uint32_t victim(const ReplState *ways, std::uint32_t n,
-                         ReplCostFn cost_of) override;
-};
-
-/** Deterministic pseudo-random replacement. */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    explicit RandomPolicy(std::uint64_t seed = 1) : rng_(seed) {}
-
-    void touch(ReplState &, Tick) override {}
-    void install(ReplState &, Tick) override {}
-
-    std::uint32_t victim(const ReplState *ways, std::uint32_t n,
-                         ReplCostFn cost_of) override;
-
-  private:
-    Rng rng_;
-};
+/** Widest set costAwareLruVictim() ranks: it sorts on the stack. */
+inline constexpr std::uint32_t maxRankedWays = 64;
 
 /**
- * LRU biased by eviction cost: picks the way minimizing
- * cost * costWeight + recency_rank. With costWeight = 0 it degrades
- * to plain LRU.
+ * @return the way with the oldest of the @p n (>= 1) @p stamps; the
+ * lowest such way on a tie.
  */
-class CostAwareLruPolicy : public ReplacementPolicy
+inline std::uint32_t
+lruVictim(const std::uint64_t *stamps, std::uint32_t n)
 {
-  public:
-    explicit CostAwareLruPolicy(double cost_weight = 2.0)
-        : costWeight_(cost_weight)
-    {}
+    std::uint32_t best = 0;
+    for (std::uint32_t i = 1; i < n; ++i) {
+        if (stamps[i] < stamps[best])
+            best = i;
+    }
+    return best;
+}
 
-    void touch(ReplState &state, Tick now) override { state.lastTouch = now; }
-    void install(ReplState &state, Tick now) override
-    {
-        state.lastTouch = now;
+/**
+ * @return the way minimising 2 * cost_of(way) + rank over the @p n
+ * (1..maxRankedWays) @p stamps, where rank counts the ways with a
+ * strictly older stamp; the lowest such way on a tie. With equal
+ * costs this is lruVictim().
+ */
+template <typename CostOf>
+std::uint32_t
+costAwareLruVictim(const std::uint64_t *stamps, std::uint32_t n,
+                   const CostOf &cost_of)
+{
+    static_assert(
+        std::is_same_v<std::invoke_result_t<const CostOf &, std::uint32_t>,
+                       unsigned>,
+        "eviction costs are unsigned");
+
+    // Insertion sort of the ways, oldest first. Equal stamps end up
+    // adjacent, so a way's rank is the position of the first way
+    // sharing its stamp.
+    std::uint8_t order[maxRankedWays] = {};  // order[0]: way 0
+    for (std::uint32_t i = 1; i < n; ++i) {
+        std::uint32_t j = i;
+        for (; j > 0 && stamps[order[j - 1]] > stamps[i]; --j)
+            order[j] = order[j - 1];
+        order[j] = static_cast<std::uint8_t>(i);
     }
 
-    std::uint32_t victim(const ReplState *ways, std::uint32_t n,
-                         ReplCostFn cost_of) override;
-
-  private:
-    double costWeight_;
-};
-
-/** Factory helper. */
-enum class ReplKind { LRU, Random, CostAwareLru };
-
-std::unique_ptr<ReplacementPolicy> makeReplacement(ReplKind kind,
-                                                   std::uint64_t seed = 1);
+    std::uint32_t best = order[0];
+    unsigned best_score = 2 * cost_of(best);
+    unsigned rank = 0;
+    for (std::uint32_t k = 1; k < n; ++k) {
+        const std::uint32_t w = order[k];
+        if (stamps[w] != stamps[order[k - 1]])
+            rank = k;
+        // Every later way scores at least its rank.
+        if (rank > best_score)
+            break;
+        const unsigned score = 2 * cost_of(w) + rank;
+        if (score < best_score || (score == best_score && w < best)) {
+            best_score = score;
+            best = w;
+        }
+    }
+    return best;
+}
 
 } // namespace d2m
 

@@ -17,10 +17,11 @@ namespace
 
 constexpr const char *kSiteNames[] = {
     "kernel",
-    "sched",        "workload",    "translate",  "core_model",
-    "mem_access",   "md_lookup",   "md3",        "service_line",
-    "fetch_master", "coh_upgrade", "invalidate", "dir_protocol",
-    "noc_send",     "memory",      "value_check", "invariants",
+    "sched",        "workload",     "translate",  "core_model",
+    "mem_access",   "md_lookup",    "md3",        "md3_evict",
+    "region_evict", "md2_victim",   "md1_promote", "service_line",
+    "fetch_master", "coh_upgrade",  "invalidate", "dir_protocol",
+    "noc_send",     "memory",       "value_check", "invariants",
     "snapshot",
 };
 static_assert(sizeof(kSiteNames) / sizeof(kSiteNames[0]) ==

@@ -46,6 +46,10 @@ enum class ProfSite : std::uint8_t
     MemAccess,    //!< MemorySystem::access() (whole transaction).
     MdLookup,     //!< D2M MD1/MD2 metadata lookup path.
     Md3,          //!< D2M MD3 consultation (case D).
+    Md3Evict,     //!< Case D: MD3 victim choice + global MD3 eviction.
+    RegionEvict,  //!< Case D: MD2 spill flushing a node's region.
+    Md2Victim,    //!< Case D: MD2 victim choice.
+    Md1Promote,   //!< MD2 -> MD1 promotion (MD1 victim + install).
     ServiceLine,  //!< D2M line service after metadata resolution.
     FetchMaster,  //!< D2M master fetch (LLC / remote node / memory).
     CohUpgrade,   //!< D2M write upgrade through MD3 (case C).

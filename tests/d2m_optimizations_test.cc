@@ -2,7 +2,8 @@
  * @file
  * Directed tests for the data-oriented optimizations of Section IV:
  * NS-LLC placement, cooperative-caching replication, dynamic indexing,
- * and MD2 pruning — plus the policy classes in isolation.
+ * and MD2 pruning — plus the placement and replication heuristics in
+ * isolation.
  */
 
 #include <gtest/gtest.h>
@@ -58,29 +59,31 @@ TEST(NsPlacement, SpillsUnderPressure)
     EXPECT_EQ(p.chooseSlice(1), 1u);
 }
 
-TEST(NsPlacement, FarSideAlwaysSliceZero)
-{
-    FarSidePlacementPolicy p;
-    for (NodeId n = 0; n < 4; ++n)
-        EXPECT_EQ(p.chooseSlice(n), 0u);
-}
-
 TEST(Replication, PaperHeuristic)
 {
-    PaperReplicationPolicy p;
     // Instructions are always replicated.
-    EXPECT_TRUE(p.shouldReplicate(true, false, false));
-    EXPECT_TRUE(p.shouldReplicate(true, true, true));
+    EXPECT_TRUE(shouldReplicate(true, false, false));
+    EXPECT_TRUE(shouldReplicate(true, true, true));
     // Data only when read from the MRU position of a remote slice.
-    EXPECT_TRUE(p.shouldReplicate(false, true, true));
-    EXPECT_FALSE(p.shouldReplicate(false, true, false));
-    EXPECT_FALSE(p.shouldReplicate(false, false, true));
+    EXPECT_TRUE(shouldReplicate(false, true, true));
+    EXPECT_FALSE(shouldReplicate(false, true, false));
+    EXPECT_FALSE(shouldReplicate(false, false, true));
 }
 
-TEST(Replication, DisabledPolicy)
+TEST(Replication, DisabledOnD2mNs)
 {
-    NoReplicationPolicy p;
-    EXPECT_FALSE(p.shouldReplicate(true, true, true));
+    // The shared-code scenario that replicates on D2M-NS-R
+    // (NsLlcR.InstructionsReplicateIntoLocalSlice) makes no replica
+    // on D2M-NS.
+    auto sys = make(ConfigKind::D2mNs);
+    run(*sys, 0, ifetch(base));
+    run(*sys, 1, ifetch(base));
+    for (unsigned i = 1; i < 10; ++i)
+        run(*sys, 1, ifetch(base + i * l1SetStride));
+    run(*sys, 1, ifetch(base));
+    EXPECT_EQ(sys->events().replicationsInst.value(), 0u);
+    EXPECT_EQ(sys->events().replicationsData.value(), 0u);
+    EXPECT_TRUE(test::invariantReport(*sys).empty());
 }
 
 TEST(Scrambler, DisabledYieldsZero)

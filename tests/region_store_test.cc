@@ -53,9 +53,21 @@ TEST(RegionStore, CostBiasedVictim)
     }
     // All valid; prefer the cheapest (scramble == 0) regardless of age.
     Md2Entry &victim = store.victimFor(99, [](const Md2Entry &e) {
-        return static_cast<double>(e.scramble) * 100.0;
+        return e.scramble * 100u;
     });
     EXPECT_EQ(victim.key, 0u);
+}
+
+TEST(RegionStoreDeathTest, RejectsSetsWiderThanTheRanking)
+{
+    // The cost-aware ranking sorts one set on the stack.
+    SimObject parent("sys");
+    RegionStore<Md2Entry> widest("md2", &parent, maxRankedWays,
+                                 maxRankedWays);
+    EXPECT_EQ(widest.assoc(), maxRankedWays);
+    EXPECT_EXIT(RegionStore<Md2Entry>("md2", &parent, 2 * maxRankedWays,
+                                      2 * maxRankedWays),
+                testing::ExitedWithCode(1), "associativity 128 exceeds 64");
 }
 
 TEST(RegionStore, PositionOfRoundTrip)
