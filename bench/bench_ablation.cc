@@ -65,9 +65,6 @@ main()
         SystemParams local_only = full;
         local_only.nsRemoteAllocShare = 0.0;
         variants.push_back({"NS-R, always-local alloc", local_only});
-        SystemParams bypass = full;
-        bypass.llcBypass = true;
-        variants.push_back({"NS-R + LLC bypass (ext.)", bypass});
     }
 
     for (const auto &wl : representativeWorkloads()) {

@@ -1,7 +1,6 @@
 #include "baseline/base_system.hh"
 
 #include "common/logging.hh"
-#include "obs/debug.hh"
 #include "obs/selfprof.hh"
 #include "obs/trace.hh"
 
@@ -82,8 +81,6 @@ BaselineSystem::invalidateInNode(NodeId n, Addr line_addr,
                                  std::uint64_t &mval)
 {
     ++stats_.invalidationsReceived;
-    DTRACE(Coherence, this, "node%u invalidation probe for line 0x%llx",
-           n, static_cast<unsigned long long>(line_addr));
     bool found = false;
     bool have_m = false;
     for (ClassicCache *cache : {nodes_[n].l1d.get(), nodes_[n].l1i.get(),
@@ -140,10 +137,8 @@ BaselineSystem::allocateLlc(Addr line_addr, Cycles &lat)
     (void)lat;  // back-invalidations are off the fill critical path
     ClassicLine &victim = llc_->victimFor(line_addr);
     if (victim.valid()) {
-        DTRACE(Replacement, this,
-               "LLC victim line 0x%llx back-invalidated for 0x%llx",
-               static_cast<unsigned long long>(victim.lineAddr),
-               static_cast<unsigned long long>(line_addr));
+        obs::protoEvent(obs::ProtoEvent::LlcBackInv, farSide(),
+                        victim.lineAddr);
         // Inclusion: purge every private copy of the victim.
         for (NodeId n = 0; n < params_.numNodes; ++n) {
             const bool tracked = ((victim.sharers >> n) & 1) ||
@@ -198,10 +193,7 @@ BaselineSystem::llcService(NodeId node, Addr line_addr, bool want_excl,
         if (line->owner != invalidNode && line->owner != node) {
             // Directory indirection: forward to the remote E/M owner.
             ++stats_.dirIndirections;
-            DTRACE(Coherence, this,
-                   "node%u line 0x%llx forwarded to owner node%u",
-                   node, static_cast<unsigned long long>(line_addr),
-                   line->owner);
+            obs::protoEvent(obs::ProtoEvent::DirForward, node, line_addr);
             const NodeId owner = line->owner;
             lat += noc_.send(farSide(), owner, MsgType::FwdReq);
             ClassicCache *where = nullptr;
@@ -371,9 +363,6 @@ BaselineSystem::access(NodeId node, const MemAccess &acc, Tick)
     if (line) [[likely]] {
         if (store && line->state == Mesi::S) {
             // Upgrade through the directory.
-            DTRACE(Coherence, this,
-                   "node%u S->M upgrade line 0x%llx through directory",
-                   node, static_cast<unsigned long long>(line_addr));
             obs::traceEvent(obs::TraceKind::CohUpgrade, node, line_addr,
                             /*proto_case=*/'U');
             lat += noc_.send(node, farSide(), MsgType::UpgradeReq);

@@ -34,10 +34,8 @@ struct LatencyParams
     Cycles llc = 18;        //!< LLC array access (either side).
     Cycles dram = 160;      //!< DRAM access.
     Cycles nocHop = 12;     //!< One interconnect traversal.
-    Cycles tlb = 0;         //!< L1 TLB (overlapped with L1 access).
     Cycles tlb2 = 3;        //!< Second-level TLB.
     Cycles pageWalk = 60;   //!< Page-table walk on TLB2 miss.
-    Cycles md1 = 0;         //!< MD1 (overlapped, replaces the TLB).
     Cycles md2 = 3;         //!< MD2 access.
     Cycles md3 = 10;        //!< MD3 access (on par with a directory).
     Cycles directory = 10;  //!< Baseline directory access.
@@ -74,23 +72,12 @@ struct SystemParams
     unsigned md2Assoc = 8;
     unsigned md3Entries = 16384;
     unsigned md3Assoc = 16;
-    unsigned md3LockBits = 1024;        //!< Blocking hash-lock bits.
 
     // D2M optimization toggles (Section IV).
     bool nearSideLlc = false;      //!< NS-LLC slices (IV-B).
     bool replication = false;      //!< NS-LLC replication (IV-C).
     bool dynamicIndexing = false;  //!< Region index scrambling (IV-D).
     bool md2Pruning = true;        //!< MD2 pruning heuristic (IV-A).
-    /**
-     * LLC-bypass extension (paper Section I: the metadata "provides
-     * the functionality needed to bypass some data while retaining
-     * the benefits of inclusion"): regions whose per-region reuse
-     * counters look streaming send evicted masters straight to memory
-     * instead of allocating LLC victim locations.
-     */
-    bool llcBypass = false;
-    /** Minimum fills before the bypass classifier may fire. */
-    std::uint32_t bypassMinFills = 16;
 
     /** NS-LLC placement: remote-allocation share under high local
      * pressure (paper: 80% local / 20% remote). */

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "obs/debug.hh"
 #include "obs/profiler.hh"
 #include "obs/selfprof.hh"
 #include "obs/snapshot.hh"
@@ -71,7 +70,7 @@ runMulticore(MemorySystem &system,
             // pre-reset counters before they vanish.
             if (opts.snapshotter) [[unlikely]]
                 opts.snapshotter->statsReset(total_committed,
-                                             debug::curTick);
+                                             obs::curTick);
             system.resetStats();
             profiler.phaseReset();
             // Drop the warmup samples: the profile covers exactly the
@@ -141,14 +140,10 @@ runMulticore(MemorySystem &system,
             }
         }
 
-        debug::setCurTick(core.now());
-        if (obs::traceEnabled() ||
-            debug::enabled(debug::Flag::Exec)) [[unlikely]] {
+        obs::setCurTick(core.now());
+        if (obs::traceEnabled()) [[unlikely]] {
             const unsigned op =
                 isIFetch(acc.type) ? 0 : isWrite(acc.type) ? 2 : 1;
-            DTRACE(Exec, &system, "node%u %s line 0x%llx", best,
-                   op == 0 ? "ifetch" : op == 1 ? "load" : "store",
-                   static_cast<unsigned long long>(line_addr));
             obs::traceEvent(obs::TraceKind::AccessIssue, best, line_addr,
                             op);
         }
@@ -234,7 +229,7 @@ runMulticore(MemorySystem &system,
     result.warmupWallSec = profiler.warmupWallSec();
     result.measureWallSec = profiler.measureWallSec();
     result.simKips = profiler.kips();
-    debug::setCurTick(result.cycles);
+    obs::setCurTick(result.cycles);
     // Final cumulative sample so short runs (under one heartbeat
     // period) still land their counter tracks on the timeline.
     if (opts.selfprof) [[unlikely]]

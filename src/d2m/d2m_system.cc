@@ -1,10 +1,8 @@
 #include "d2m/d2m_system.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/logging.hh"
-#include "obs/debug.hh"
 #include "obs/selfprof.hh"
 #include "obs/trace.hh"
 
@@ -211,9 +209,7 @@ D2mSystem::lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
     if (Md1Entry *e1 = md1.find(md1Key(acc.asid, acc.vaddr))) [[likely]] {
         md_level = 0;
         ++events_.md1Hits;
-        DTRACE(MD, this, "node%u MD1-%c hit region 0x%llx", node,
-               side_i ? 'I' : 'D',
-               static_cast<unsigned long long>(e1->pregion));
+        obs::protoEvent(obs::ProtoEvent::Md1Hit, node, e1->pregion);
         ActiveMd amd;
         amd.md1 = e1;
         amd.md2 = ctx.md2->probe(e1->pregion);
@@ -237,10 +233,7 @@ D2mSystem::lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
     if (Md2Entry *e2 = ctx.md2->find(pregion)) {
         md_level = 1;
         ++events_.md2Hits;
-        DTRACE(MD, this, "node%u MD2 hit region 0x%llx (promote to "
-               "MD1-%c)", node,
-               static_cast<unsigned long long>(pregion),
-               side_i ? 'I' : 'D');
+        obs::protoEvent(obs::ProtoEvent::Md2Hit, node, pregion);
         if (e2->activeInMd1) {
             // Active in the other side's MD1 (footnote 2): migrate.
             // L1-kind LIs are flushed first since the LI encoding
@@ -279,8 +272,7 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
     obs::ProfScope prof(obs::ProfSite::Md3);
     ++stats_.dirIndirections;
     ++events_.md3Lookups;
-    DTRACE(MD, this, "node%u MD miss region 0x%llx: case D through MD3",
-           node, static_cast<unsigned long long>(pregion));
+    obs::protoEvent(obs::ProtoEvent::Md3Lookup, node, pregion);
     lat += noc_.send(node, farSide(), MsgType::ReadMM);
     energy_.count(Structure::Md3);
     lat += params_.lat.md3;
@@ -311,10 +303,8 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
         md3_->bind(slot, pregion);
         slot.pb = std::uint64_t(1) << node;
         slot.scramble = scrambler_.next();
-        DTRACE(Index, this,
-               "region 0x%llx assigned index scramble 0x%x (node%u, D4)",
-               static_cast<unsigned long long>(pregion), slot.scramble,
-               node);
+        obs::protoEvent(obs::ProtoEvent::D4Scramble, node, pregion,
+                        slot.scramble);
         for (auto &li : slot.li)
             li = LocationInfo::invalid();  // private: MD3 LIs invalid
         md3_->markInstalled(slot);
@@ -343,10 +333,6 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
             // D2: private -> shared. Pull metadata from the owner.
             ++events_.d2;
             ++events_.privateToShared;
-            DTRACE(Coherence, this,
-                   "region 0x%llx reclassified private -> shared "
-                   "(node%u joins)",
-                   static_cast<unsigned long long>(pregion), node);
             obs::traceEvent(obs::TraceKind::RegionClass, node, pregion,
                             /*shared=*/1, /*was_shared=*/0);
             NodeId owner = 0;
@@ -742,15 +728,14 @@ D2mSystem::maybePrune(NodeId n, std::uint64_t pregion, Md3Entry &e3)
     }
     // Drop the entry and notify MD3 so the PB bit clears.
     ++events_.md2Prunes;
-    DTRACE(MD, this, "node%u MD2 prune region 0x%llx (no local copies)",
-           n, static_cast<unsigned long long>(pregion));
+    obs::protoEvent(obs::ProtoEvent::Md2Prune, n, pregion);
     e2->valid = false;
     noc_.send(n, farSide(), MsgType::PruneNotify);
     e3.pb &= ~(std::uint64_t(1) << n);
 }
 
 void
-D2mSystem::masterEvicted(NodeId node, TaglessLine &line, bool allow_llc)
+D2mSystem::masterEvicted(NodeId node, TaglessLine &line)
 {
     const Addr line_addr = line.lineAddr;
     const std::uint64_t pregion = regionOf(line_addr);
@@ -758,62 +743,31 @@ D2mSystem::masterEvicted(NodeId node, TaglessLine &line, bool allow_llc)
     ActiveMd amd = activeMdFor(node, pregion, /*charge=*/false);
     panic_if(!amd.tracked(), "master eviction in an untracked region");
 
-    // LLC-bypass extension: streaming regions (many fills, little
-    // reuse) do not deserve victim locations; their masters fall back
-    // to memory (the default RP target).
-    if (allow_llc && params_.llcBypass &&
-        amd.md2->fills >= params_.bypassMinFills &&
-        amd.md2->hits < amd.md2->fills / 2) {
-        allow_llc = false;
-        ++events_.llcBypasses;
-        DTRACE(Replacement, this,
-               "node%u streaming region 0x%llx bypasses LLC "
-               "(fills %llu, hits %llu)",
-               node, static_cast<unsigned long long>(pregion),
-               static_cast<unsigned long long>(amd.md2->fills),
-               static_cast<unsigned long long>(amd.md2->hits));
-    }
-
-    LocationInfo new_loc;
-    if (allow_llc) {
-        // Case E/F: relocate the master to its victim location.
-        new_loc = allocateVictimInLlc(node, line_addr, amd.scramble());
-        std::uint32_t set = 0;
-        TaglessLine &slot = llcAt(new_loc, line_addr, amd.scramble(), &set);
-        slot.valid = true;
-        slot.lineAddr = line_addr;
-        slot.value = line.value;
-        slot.dirty = line.dirty;
-        slot.master = true;
-        slot.ownerNode = invalidNode;
-        slot.rp = LocationInfo::mem();
-        llc_[new_loc.node]->markInstalled(set, new_loc.way);
-        energy_.count(Structure::LlcData);
-        noc_.send(node, sliceEndpoint(new_loc.node),
-                  MsgType::WritebackData);
-    } else {
-        new_loc = LocationInfo::mem();
-        if (line.dirty) {
-            memory_.write(line_addr, line.value);
-            noc_.send(node, farSide(), MsgType::WritebackData);
-        }
-    }
+    // Case E/F: relocate the master to its victim location.
+    const LocationInfo new_loc =
+        allocateVictimInLlc(node, line_addr, amd.scramble());
+    std::uint32_t set = 0;
+    TaglessLine &slot = llcAt(new_loc, line_addr, amd.scramble(), &set);
+    slot.valid = true;
+    slot.lineAddr = line_addr;
+    slot.value = line.value;
+    slot.dirty = line.dirty;
+    slot.master = true;
+    slot.ownerNode = invalidNode;
+    slot.rp = LocationInfo::mem();
+    llc_[new_loc.node]->markInstalled(set, new_loc.way);
+    energy_.count(Structure::LlcData);
+    noc_.send(node, sliceEndpoint(new_loc.node), MsgType::WritebackData);
 
     if (amd.privateBit()) {
         // Case E: private region, local metadata update only.
         ++events_.e;
-        DTRACE(Replacement, this,
-               "node%u master evict line 0x%llx: case E -> %s",
-               node, static_cast<unsigned long long>(line_addr),
-               allow_llc ? "LLC victim location" : "memory");
+        obs::protoEvent(obs::ProtoEvent::CaseE, node, line_addr);
         amd.li()[idx] = new_loc;
     } else {
         // Case F: shared region, blocking EvictReq through MD3.
         ++events_.f;
-        DTRACE(Replacement, this,
-               "node%u master evict line 0x%llx: case F through MD3 -> %s",
-               node, static_cast<unsigned long long>(line_addr),
-               allow_llc ? "LLC victim location" : "memory");
+        obs::protoEvent(obs::ProtoEvent::CaseF, node, line_addr);
         noc_.send(node, farSide(), MsgType::EvictReq);
         energy_.count(Structure::Md3);
         lockRegion(pregion);
@@ -854,7 +808,7 @@ D2mSystem::evictL1Slot(NodeId node, bool side_i, std::uint32_t set,
             // cachelines too, Section III-B). Shared regions serialize
             // the master change through MD3 (case F); a racing sharer
             // sees its RP repointed and drops silently later.
-            masterEvicted(node, line, /*allow_llc=*/true);
+            masterEvicted(node, line);
             line.invalidate();
             return;
         }
@@ -882,7 +836,7 @@ D2mSystem::evictL1Slot(NodeId node, bool side_i, std::uint32_t set,
         return;
     }
 
-    masterEvicted(node, line, /*allow_llc=*/true);
+    masterEvicted(node, line);
     line.invalidate();
 }
 
@@ -904,7 +858,7 @@ D2mSystem::evictL2Slot(NodeId node, std::uint32_t set, std::uint32_t way)
     }
     // Masters, and memory-mastered replicas being promoted (see
     // evictL1Slot), move to a victim location.
-    masterEvicted(node, line, /*allow_llc=*/true);
+    masterEvicted(node, line);
     line.invalidate();
 }
 
@@ -913,8 +867,7 @@ D2mSystem::nodeRegionEvict(NodeId node, std::uint64_t pregion)
 {
     obs::ProfScope prof(obs::ProfSite::RegionEvict);
     ++events_.md2Spills;
-    DTRACE(MD, this, "node%u MD2 spill region 0x%llx (flush local copies)",
-           node, static_cast<unsigned long long>(pregion));
+    obs::protoEvent(obs::ProtoEvent::Md2Spill, node, pregion);
     ActiveMd amd = activeMdFor(node, pregion, /*charge=*/false);
     panic_if(!amd.tracked(), "evicting an untracked region");
 
@@ -1031,9 +984,7 @@ D2mSystem::globalMd3Evict(Md3Entry &e3)
 {
     ++events_.md3Evictions;
     const std::uint64_t pregion = e3.key;
-    DTRACE(MD, this, "MD3 evict region 0x%llx (flush %u tracking nodes)",
-           static_cast<unsigned long long>(pregion),
-           static_cast<unsigned>(std::popcount(e3.pb)));
+    obs::protoEvent(obs::ProtoEvent::Md3Evict, farSide(), pregion);
 
     // First flush every tracking node (drops replicas and private
     // masters; dirty data goes straight to memory)...
@@ -1078,9 +1029,6 @@ D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
     was_mru = false;
     // One LI hop per master indirection: the requester follows its
     // location info straight to the holder (no tag probes on the way).
-    DTRACE(MD, this, "node%u LI hop for line 0x%llx -> kind %d target %u",
-           node, static_cast<unsigned long long>(line_addr),
-           static_cast<int>(master.kind), master.node);
     obs::traceEvent(obs::TraceKind::LiHop, node, line_addr,
                     static_cast<std::uint64_t>(master.kind), master.node);
     ++curLiHops_;
@@ -1194,9 +1142,6 @@ D2mSystem::caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
     ++events_.c;
     ++stats_.dirIndirections;
     const unsigned idx = lineIdxOf(line_addr);
-    DTRACE(Coherence, this,
-           "node%u write upgrade line 0x%llx: case C through MD3",
-           node, static_cast<unsigned long long>(line_addr));
     obs::traceEvent(obs::TraceKind::CohUpgrade, node, line_addr,
                     /*proto_case=*/'C');
 
@@ -1233,9 +1178,6 @@ D2mSystem::caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
         if (p == node || p == master_node || !((pb_snapshot >> p) & 1))
             continue;
         noc_.send(farSide(), p, MsgType::Inv);
-        DTRACE(Coherence, this,
-               "node%u invalidated for line 0x%llx (writer node%u)",
-               p, static_cast<unsigned long long>(line_addr), node);
         obs::traceEvent(obs::TraceKind::CohDowngrade, p, line_addr,
                         /*false_inv=*/0);
         invalidateLineAtNode(p, pregion, idx, line_addr,
@@ -1252,9 +1194,6 @@ D2mSystem::caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
     // Pruning may have stripped the region back to a single sharer.
     if (classify(true, e3->pb) == RegionClass::Private) {
         ++events_.sharedToPrivate;
-        DTRACE(Coherence, this,
-               "region 0x%llx reclassified shared -> private (node%u)",
-               static_cast<unsigned long long>(pregion), node);
         obs::traceEvent(obs::TraceKind::RegionClass, node, pregion,
                         /*shared=*/0, /*was_shared=*/1);
         setPrivate(md, true);
@@ -1289,10 +1228,7 @@ D2mSystem::replicateToLocalSlice(NodeId node, Addr line_addr,
         ++events_.replicationsInst;
     else
         ++events_.replicationsData;
-    DTRACE(NSLLC, this,
-           "node%u replicated %s line 0x%llx into local slice (way %u)",
-           node, is_ifetch ? "inst" : "data",
-           static_cast<unsigned long long>(line_addr), way);
+    obs::protoEvent(obs::ProtoEvent::Replicate, node, line_addr);
     return LocationInfo::inLlc(node, way);
 }
 
@@ -1317,7 +1253,6 @@ D2mSystem::installL1(NodeId node, bool side_i, Addr line_addr,
     slot.rp = rp;
     l1.markInstalled(set, way);
     energy_.count(Structure::L1Data);
-    ++nodes_[node].md2->probe(regionOf(line_addr))->fills;
     return way;
 }
 
@@ -1326,8 +1261,7 @@ D2mSystem::pressureEpoch(Tick now)
 {
     if (!nearSide_ || now < nextPressureEpoch_)
         return;
-    DTRACE(NSLLC, this, "pressure-exchange epoch at tick %llu",
-           static_cast<unsigned long long>(now));
+    obs::protoEvent(obs::ProtoEvent::PressureEpoch, farSide(), 0);
     placement_.exchangeEpoch();
     for (NodeId a = 0; a < params_.numNodes; ++a)
         noc_.multicast(a, ~std::uint64_t(0), MsgType::PressureUpdate);
@@ -1387,7 +1321,6 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                  "deterministic LI violated at L1");
         energy_.count(Structure::L1Data);
         l1.touch(set, li.way);
-        ++md.md2->hits;
         if (store) {
             if (slot.master && (md.privateBit() || slot.exclusive)) {
                 // Silent upgrade: private regions never need
@@ -1409,11 +1342,6 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                     // (case B, hit flavor).
                     ++events_.b;
                     ++events_.directAccesses;
-                    DTRACE(Coherence, this,
-                           "node%u store upgrade line 0x%llx: case B "
-                           "(private, hit)",
-                           node,
-                           static_cast<unsigned long long>(line_addr));
                     obs::traceEvent(obs::TraceKind::CohUpgrade, node,
                                     line_addr, /*proto_case=*/'B');
                     LocationInfo m = slot.rp;
@@ -1579,9 +1507,6 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
             ++events_.b;
             if (md_level < 2)
                 ++events_.directAccesses;
-            DTRACE(Coherence, this,
-                   "node%u store upgrade line 0x%llx: case B (private)",
-                   node, static_cast<unsigned long long>(line_addr));
             obs::traceEvent(obs::TraceKind::CohUpgrade, node, line_addr,
                             /*proto_case=*/'B');
             const DropResult dropped =

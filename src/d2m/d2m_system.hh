@@ -215,7 +215,7 @@ class D2mSystem : public MemorySystem
     void evictL2Slot(NodeId node, std::uint32_t set, std::uint32_t way);
 
     /** Relocate an evicted master to a victim location (cases E/F). */
-    void masterEvicted(NodeId node, TaglessLine &line, bool allow_llc);
+    void masterEvicted(NodeId node, TaglessLine &line);
 
     /** Allocate a victim location in the LLC (placement policy). */
     LocationInfo allocateVictimInLlc(NodeId node, Addr line_addr,

@@ -63,9 +63,6 @@ class D2mEvents : public SimObject
                          "(cases A and B)"),
           lockAcquisitions(this, "lockAcquisitions",
                            "MD3 region-lock acquisitions"),
-          llcBypasses(this, "llcBypasses",
-                      "streaming-region masters sent straight to "
-                      "memory (bypass extension)"),
           coverage(this, "coverage",
                    "MD level x data level coverage matrix samples"),
           liHopsPerMiss(this, "liHopsPerMiss",
@@ -82,7 +79,6 @@ class D2mEvents : public SimObject
     stats::Counter llcAccessesLocal, llcAccessesRemote;
     stats::Counter directAccesses;
     stats::Counter lockAcquisitions;
-    stats::Counter llcBypasses;
     stats::Counter coverage;
     stats::Histogram2 liHopsPerMiss;
 

@@ -47,14 +47,6 @@ struct Md2Entry
     std::uint32_t scramble = 0;
     LiVector li{};              //!< Stale while an MD1 entry is active.
 
-    /**
-     * Per-region reuse counters for the LLC-bypass extension: lines
-     * installed into the L1 vs. L1 hits observed. A region with many
-     * fills and few re-hits is streaming (no reuse to preserve).
-     */
-    std::uint32_t fills = 0;
-    std::uint32_t hits = 0;
-
     // Tracking pointer: where the active MD1 entry lives, if any.
     bool activeInMd1 = false;
     bool md1SideI = false;      //!< MD1-I vs MD1-D (paper footnote 2).

@@ -113,7 +113,6 @@ manifestKeys()
         {"grid", "warmup", "D2M_WARMUP", true},
         {"grid", "seed", "D2M_SEED", true},
         {"obs", "heartbeat_minsts", "D2M_HEARTBEAT", true},
-        {"obs", "debug", "D2M_DEBUG", false},
         {"obs", "trace_file", "D2M_TRACE_FILE", false},
         {"obs", "trace_buf", "D2M_TRACE_BUF", true},
         {"obs", "interval_insts", "D2M_INTERVAL_INSTS", true},

@@ -149,7 +149,7 @@ makeRunKey(ConfigKind kind, const NamedWorkload &wl,
            const SystemParams &sp)
 {
     KeyHasher h;
-    h.str("d2m-run-key-v3");
+    h.str("d2m-run-key-v4");
     h.str(configKindName(kind));
     h.str(wl.suite);
     h.str(wl.name);
@@ -197,13 +197,10 @@ makeRunKey(ConfigKind kind, const NamedWorkload &wl,
     h.u64(sp.md2Assoc);
     h.u64(sp.md3Entries);
     h.u64(sp.md3Assoc);
-    h.u64(sp.md3LockBits);
     h.b(sp.nearSideLlc);
     h.b(sp.replication);
     h.b(sp.dynamicIndexing);
     h.b(sp.md2Pruning);
-    h.b(sp.llcBypass);
-    h.u64(sp.bypassMinFills);
     h.f64(sp.nsRemoteAllocShare);
     h.u64(sp.nsPressurePeriod);
 
@@ -213,10 +210,8 @@ makeRunKey(ConfigKind kind, const NamedWorkload &wl,
     h.u64(l.llc);
     h.u64(l.dram);
     h.u64(l.nocHop);
-    h.u64(l.tlb);
     h.u64(l.tlb2);
     h.u64(l.pageWalk);
-    h.u64(l.md1);
     h.u64(l.md2);
     h.u64(l.md3);
     h.u64(l.directory);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Virtual memory substrate: a demand-allocating page table shared by
- * all systems, and a small TLB model.
+ * Virtual memory substrate: a page table shared by all systems, and a
+ * small TLB model.
  *
  * The baselines translate on every access through a per-core L1 TLB;
  * D2M's MD1 is virtually tagged, so it only translates on MD1 misses
@@ -24,78 +24,37 @@ namespace d2m
 {
 
 /**
- * Forward page table mapping (asid, vpage) to a physical frame.
- *
- * Two allocation modes:
- *  - identity (default): frame = vpage + asid * 16M. This models
- *    huge-page / THP-style allocation where virtual alignment is
- *    preserved physically — required for the power-of-two-stride
- *    conflict pathology that dynamic indexing targets (Section IV-D;
- *    the paper runs full-system Linux where large buffers land in
- *    aligned allocations).
- *  - demand: sequentially allocated 4K frames in touch order.
+ * Forward page table mapping (asid, vpage) to a physical frame:
+ * frame = vpage + asid * 16M. This models huge-page / THP-style
+ * allocation where virtual alignment is preserved physically —
+ * required for the power-of-two-stride conflict pathology that dynamic
+ * indexing targets (Section IV-D; the paper runs full-system Linux
+ * where large buffers land in aligned allocations).
  */
 class PageTable
 {
   public:
-    enum class Mode { Identity, Demand };
-
-    explicit PageTable(unsigned page_shift = 12,
-                       Mode mode = Mode::Identity)
-        : pageShift_(page_shift), mode_(mode)
-    {}
+    explicit PageTable(unsigned page_shift = 12) : pageShift_(page_shift) {}
 
     unsigned pageShift() const { return pageShift_; }
 
-    /** Translate @p vaddr in @p asid, allocating a frame on first touch. */
+    /** Translate @p vaddr in @p asid, counting pages on first touch. */
     Addr
     translate(AsId asid, Addr vaddr)
     {
         const std::uint64_t vpage = vaddr >> pageShift_;
         const Addr offset = vaddr & ((Addr(1) << pageShift_) - 1);
-        std::uint64_t frame;
-        if (mode_ == Mode::Identity) {
-            frame = vpage + (std::uint64_t(asid) << 24);
-            if (touched_.insert((std::uint64_t(asid) << 40) ^ vpage))
-                ++pages_;
-        } else {
-            const Key key{asid, vpage};
-            auto it = map_.find(key);
-            if (it == map_.end()) {
-                frame = nextFrame_++;
-                ++pages_;
-                map_.emplace(key, frame);
-            } else {
-                frame = it->second;
-            }
-        }
+        const std::uint64_t frame = vpage + (std::uint64_t(asid) << 24);
+        if (touched_.insert((std::uint64_t(asid) << 40) ^ vpage))
+            ++pages_;
         return (frame << pageShift_) | offset;
     }
 
     std::uint64_t numPages() const { return pages_; }
 
   private:
-    struct Key
-    {
-        AsId asid;
-        std::uint64_t vpage;
-        bool operator==(const Key &) const = default;
-    };
-
-    struct KeyHash
-    {
-        std::uint64_t
-        operator()(const Key &k) const
-        {
-            return flatHashMix((std::uint64_t(k.asid) << 48) ^ k.vpage);
-        }
-    };
-
     unsigned pageShift_;
-    Mode mode_;
-    std::uint64_t nextFrame_ = 1;  // frame 0 reserved
     std::uint64_t pages_ = 0;
-    FlatMap<Key, std::uint64_t, KeyHash> map_;
     FlatSet<std::uint64_t> touched_;
 };
 

@@ -24,7 +24,6 @@
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "noc/message.hh"
-#include "obs/debug.hh"
 #include "obs/selfprof.hh"
 #include "obs/trace.hh"
 #include "sim/sim_object.hh"
@@ -78,8 +77,6 @@ class Interconnect : public SimObject
         if (carriesData(type))
             dataBytes += lineSize_;
         ++perType_[static_cast<size_t>(type)];
-        DTRACE(NoC, this, "send %u -> %u %s (%uB)", src, dst,
-               msgTypeName(type), bytes);
         // Exactly one noc_send trace record per counted message, so
         // post-hoc message counts recomputed from the trace match the
         // Stats counters bit-for-bit.

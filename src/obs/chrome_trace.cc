@@ -141,15 +141,13 @@ chromeTraceFromJsonl(std::istream &in, std::ostream &out,
                            json::number(u64Field(rec, "false_inv"));
             }
             ev.body += "}}";
-        } else if (kind == "noc_send" || kind == "noc_recv") {
+        } else if (kind == "noc_send") {
             const std::uint64_t src = u64Field(rec, "src");
             const std::uint64_t dst = u64Field(rec, "dst");
-            // Sends render on the source endpoint's track, deliveries
-            // on the destination's.
-            const std::uint64_t tid = kind == "noc_send" ? src : dst;
-            nocTids.insert(tid);
+            // Sends render on the source endpoint's track.
+            nocTids.insert(src);
             const std::string &msg = rec["msg"].asString();
-            ev.body = head("i", kPidNoc, tid, ts, msg.c_str(), "noc");
+            ev.body = head("i", kPidNoc, src, ts, msg.c_str(), "noc");
             ev.body += ",\"s\":\"t\",\"args\":{\"src\":" +
                        json::number(src) + ",\"dst\":" +
                        json::number(dst) + ",\"bytes\":" +

@@ -13,7 +13,7 @@
  *   pid 1 "cores"  tid=node      access_complete -> "X" slices
  *                                (name "miss"/"hit", dur = latency),
  *                                li_hop/region_class/coh_* -> "i"
- *   pid 2 "noc"    tid=endpoint  noc_send/noc_recv -> "i"
+ *   pid 2 "noc"    tid=endpoint  noc_send -> "i"
  *   pid 4 "sim"    tid=0         stats_reset/run_end -> "i" (global),
  *                                heartbeat -> "C" KIPS counter
  * access_issue records are dropped (the completion slice carries the

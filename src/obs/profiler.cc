@@ -2,7 +2,6 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "obs/debug.hh"
 #include "obs/trace.hh"
 
 namespace d2m::obs
@@ -57,7 +56,7 @@ SimRateProfiler::heartbeatFire(std::uint64_t committed_insts,
                    : 0.0;
     inform("progress: %.1f Minsts, tick %llu, %.0f KIPS (wall %.1fs)",
            static_cast<double>(committed_insts) / 1e6,
-           static_cast<unsigned long long>(debug::curTick), rate, wall);
+           static_cast<unsigned long long>(curTick), rate, wall);
     traceEvent(TraceKind::Heartbeat, 0, accesses, committed_insts,
                static_cast<std::uint64_t>(rate));
     return true;

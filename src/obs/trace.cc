@@ -5,7 +5,6 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "noc/message.hh"
-#include "obs/debug.hh"
 #include "obs/json.hh"
 #include "obs/selfprof.hh"
 
@@ -13,6 +12,7 @@ namespace d2m::obs
 {
 
 constinit thread_local TraceSink *globalSink = nullptr;
+constinit thread_local Tick curTick = 0;
 
 namespace
 {
@@ -24,11 +24,19 @@ std::size_t envTraceBuf = 8192;
 
 constexpr const char *kKindNames[] = {
     "access_issue", "access_complete", "li_hop", "region_class",
-    "coh_upgrade", "coh_downgrade", "noc_send", "noc_recv",
+    "coh_upgrade", "coh_downgrade", "noc_send", "proto_event",
     "stats_reset", "heartbeat", "selfprof", "run_end",
 };
 static_assert(sizeof(kKindNames) / sizeof(kKindNames[0]) ==
               static_cast<std::size_t>(TraceKind::NUM_KINDS));
+
+constexpr const char *kProtoEventNames[] = {
+    "md1_hit", "md2_hit", "md3_lookup", "d4_scramble", "md2_prune",
+    "case_e", "case_f", "md2_spill", "md3_evict", "replicate",
+    "pressure_epoch", "llc_back_inv", "dir_forward",
+};
+static_assert(sizeof(kProtoEventNames) / sizeof(kProtoEventNames[0]) ==
+              static_cast<std::size_t>(ProtoEvent::NUM_EVENTS));
 
 /** Owns the env-created global sink so exit flushes it. */
 struct GlobalSinkOwner
@@ -131,12 +139,18 @@ traceToJson(const TraceRecord &rec)
         append(out, "false_inv", rec.a);
         break;
       case TraceKind::NocSend:
-      case TraceKind::NocRecv:
         append(out, "src", rec.node);
         append(out, "dst", rec.a);
         append(out, "msg",
                msgTypeName(static_cast<MsgType>(rec.b)));
         append(out, "bytes", rec.addr);
+        break;
+      case TraceKind::ProtoEvent:
+        append(out, "node", rec.node);
+        append(out, "addr", rec.addr);
+        append(out, "event", kProtoEventNames[rec.a]);
+        if (rec.a == static_cast<std::uint64_t>(ProtoEvent::D4Scramble))
+            append(out, "scramble", rec.b);
         break;
       case TraceKind::StatsReset:
         break;
@@ -228,7 +242,7 @@ traceEventSlow(TraceKind kind, std::uint32_t node, std::uint64_t addr,
 {
     if (!globalSink)
         return;
-    globalSink->record({debug::curTick, kind, node, addr, a, b});
+    globalSink->record({curTick, kind, node, addr, a, b});
 }
 
 TraceSink *

@@ -14,6 +14,11 @@
  * emitted when the warmup counters reset, so post-warmup aggregates
  * recomputed from the trace match the Stats counters exactly.
  *
+ * This is the simulator's only event log. Protocol events that have
+ * no kind of their own (metadata hits, cases D4/E/F, MD2 prune and
+ * spill, MD3 eviction, NS-LLC replication, baseline back-invalidations
+ * and forwards) are "proto_event" records named by ProtoEvent.
+ *
  * Cost when disabled is one null-pointer check per record() call.
  * Without a file the ring simply wraps, keeping the most recent
  * records for post-mortem inspection (and counting what it dropped).
@@ -42,7 +47,7 @@ enum class TraceKind : std::uint8_t
     CohUpgrade,      //!< Write permission upgrade (case B/C).
     CohDowngrade,    //!< Invalidation delivered to a node.
     NocSend,         //!< One counted interconnect message.
-    NocRecv,         //!< Message delivery (far-side multicasts).
+    ProtoEvent,      //!< Named protocol event (see ProtoEvent).
     StatsReset,      //!< Warmup ended; Stats counters reset.
     Heartbeat,       //!< Periodic progress record.
     SelfProf,        //!< Cumulative self-profiler site counter.
@@ -52,6 +57,30 @@ enum class TraceKind : std::uint8_t
 
 /** Short stable name used as the JSONL "kind" value. */
 const char *traceKindName(TraceKind k);
+
+/**
+ * The event of a TraceKind::ProtoEvent record, encoded as a stable
+ * JSONL "event" name. Region-level events carry the physical region
+ * number as their address, line-level events the line address
+ * (DESIGN.md Section 9).
+ */
+enum class ProtoEvent : std::uint8_t
+{
+    Md1Hit,         //!< Metadata lookup satisfied by MD1.
+    Md2Hit,         //!< Metadata lookup satisfied by MD2.
+    Md3Lookup,      //!< MD1/MD2 miss: case D through MD3.
+    D4Scramble,     //!< Case D4 assigned the region's index scramble.
+    Md2Prune,       //!< Pruning dropped a node's MD2 entry.
+    CaseE,          //!< Master eviction, private region.
+    CaseF,          //!< Master eviction, shared region.
+    Md2Spill,       //!< MD2 entry evicted (local copies flushed).
+    Md3Evict,       //!< MD3 entry evicted (global region flush).
+    Replicate,      //!< Line replicated into the local NS-LLC slice.
+    PressureEpoch,  //!< NS-LLC pressure-exchange epoch.
+    LlcBackInv,     //!< Baseline LLC victim back-invalidated.
+    DirForward,     //!< Baseline directory forward to the owner.
+    NUM_EVENTS
+};
 
 /**
  * One compact in-memory record. Field meaning is kind-specific; the
@@ -125,6 +154,16 @@ extern constinit thread_local TraceSink *globalSink;
 /** @return true when a global trace sink is attached. */
 inline bool traceEnabled() { return globalSink != nullptr; }
 
+/**
+ * The current simulated tick, maintained by the run loop
+ * (cpu/multicore.cc) so records can be stamped from anywhere without
+ * threading a clock through every call. thread_local and constinit
+ * for the same reasons as globalSink.
+ */
+extern constinit thread_local Tick curTick;
+
+inline void setCurTick(Tick t) { curTick = t; }
+
 /** Out-of-line recording half of traceEvent(). */
 void traceEventSlow(TraceKind kind, std::uint32_t node, std::uint64_t addr,
                     std::uint64_t a, std::uint64_t b);
@@ -139,6 +178,15 @@ traceEvent(TraceKind kind, std::uint32_t node, std::uint64_t addr = 0,
 {
     if (globalSink) [[unlikely]]
         traceEventSlow(kind, node, addr, a, b);
+}
+
+/** Record a proto_event; @p arg is the scramble of D4Scramble. */
+inline void
+protoEvent(ProtoEvent e, std::uint32_t node, std::uint64_t addr,
+           std::uint64_t arg = 0)
+{
+    traceEvent(TraceKind::ProtoEvent, node, addr,
+               static_cast<std::uint64_t>(e), arg);
 }
 
 /** Attach @p sink as the global sink (tests; returns the old one). */

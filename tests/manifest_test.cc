@@ -123,6 +123,10 @@ TEST(ManifestDeathTest, UnknownKeyIsFatal)
     EXPECT_EXIT(
         parseManifestText("[obs]\nselfprof = 1\nselfprof_top = 15\n", "t"),
         testing::ExitedWithCode(1), "t:3: unknown key 'selfprof_top'");
+    // Retired with the debug-flag tracer: the typed trace is the only
+    // event log.
+    EXPECT_EXIT(parseManifestText("[obs]\ndebug = MD\n", "t"),
+                testing::ExitedWithCode(1), "t:2: unknown key 'debug'");
 }
 
 TEST(ManifestDeathTest, DuplicateKeyIsFatal)

@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the observability layer: debug flags (D2M_DEBUG parsing
- * and DTRACE emission), the TraceSink ring buffer and its JSONL
- * output, the JSON stats visitor, the sim-rate profiler and the
- * rate-limited warning helpers. The final test runs a small multicore
- * simulation with tracing attached and reconciles the trace's message
- * records against the interconnect's Stats counters.
+ * Tests for the observability layer: the TraceSink ring buffer and its
+ * JSONL output, the JSON stats visitor, the sim-rate profiler and the
+ * rate-limited warning helpers. The reconcile tests run small
+ * multicore simulations with tracing attached and match the trace's
+ * message and protocol-event records against the Stats counters.
  */
 
 #include <gtest/gtest.h>
@@ -13,15 +12,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "cpu/multicore.hh"
+#include "d2m/d2m_system.hh"
 #include "harness/configs.hh"
 #include "harness/results_json.hh"
 #include "noc/message.hh"
-#include "obs/debug.hh"
 #include "obs/json.hh"
 #include "obs/profiler.hh"
 #include "obs/trace.hh"
@@ -31,72 +31,6 @@ namespace d2m
 {
 namespace
 {
-
-// ---------------------------------------------------------------- debug
-
-TEST(DebugFlags, ParseList)
-{
-    using debug::Flag;
-    EXPECT_EQ(debug::parseFlags(""), 0u);
-    EXPECT_EQ(debug::parseFlags("NoC"),
-              static_cast<std::uint32_t>(Flag::NoC));
-    EXPECT_EQ(debug::parseFlags("Coherence,NoC"),
-              static_cast<std::uint32_t>(Flag::Coherence) |
-                  static_cast<std::uint32_t>(Flag::NoC));
-    // Empty tokens and trailing commas are tolerated.
-    EXPECT_EQ(debug::parseFlags("MD,,Index,"),
-              static_cast<std::uint32_t>(Flag::MD) |
-                  static_cast<std::uint32_t>(Flag::Index));
-}
-
-TEST(DebugFlags, AllEnablesEverything)
-{
-    const std::uint32_t all = debug::parseFlags("All");
-    for (auto f : {debug::Flag::MD, debug::Flag::Coherence,
-                   debug::Flag::NoC, debug::Flag::Replacement,
-                   debug::Flag::NSLLC, debug::Flag::Index,
-                   debug::Flag::Exec}) {
-        EXPECT_NE(all & static_cast<std::uint32_t>(f), 0u)
-            << debug::flagName(f);
-    }
-    EXPECT_EQ(debug::parseFlags("all"), all);
-}
-
-TEST(DebugFlagsDeathTest, UnknownFlagIsFatal)
-{
-    EXPECT_EXIT(debug::parseFlags("Coherence,Bogus"),
-                testing::ExitedWithCode(1), "unknown debug flag");
-}
-
-TEST(DebugFlags, EnvRoundTrip)
-{
-    ::setenv("D2M_DEBUG", "Replacement,Index", 1);
-    debug::initFromEnv();
-    EXPECT_TRUE(debug::enabled(debug::Flag::Replacement));
-    EXPECT_TRUE(debug::enabled(debug::Flag::Index));
-    EXPECT_FALSE(debug::enabled(debug::Flag::NoC));
-    ::unsetenv("D2M_DEBUG");
-    debug::initFromEnv();
-    EXPECT_FALSE(debug::enabled(debug::Flag::Replacement));
-}
-
-TEST(DebugFlags, DtraceEmitsTickPathAndFlag)
-{
-    stats::StatGroup root("sys");
-    stats::StatGroup noc("noc", &root);
-    debug::setFlags(static_cast<std::uint32_t>(debug::Flag::NoC));
-    debug::setCurTick(412036);
-    testing::internal::CaptureStderr();
-    DTRACE(NoC, &noc, "send %u -> %u", 2u, 4u);
-    DTRACE(Coherence, &noc, "must not appear");
-    const std::string err = testing::internal::GetCapturedStderr();
-    debug::setFlags(0);
-    EXPECT_NE(err.find("412036"), std::string::npos);
-    EXPECT_NE(err.find("sys.noc"), std::string::npos);
-    EXPECT_NE(err.find("[NoC]"), std::string::npos);
-    EXPECT_NE(err.find("send 2 -> 4"), std::string::npos);
-    EXPECT_EQ(err.find("must not appear"), std::string::npos);
-}
 
 // ---------------------------------------------------------------- trace
 
@@ -162,13 +96,24 @@ TEST(TraceSink, JsonEncodingIsKindSpecific)
     EXPECT_EQ(v["kind"].asString(), "region_class");
     EXPECT_EQ(v["region"].asNumber(), 256.0);
     EXPECT_EQ(v["shared"].asNumber(), 1.0);
+
+    ASSERT_TRUE(json::parse(
+        obs::traceToJson(
+            {11, obs::TraceKind::ProtoEvent, 2, 0x40,
+             static_cast<std::uint64_t>(obs::ProtoEvent::D4Scramble), 5}),
+        v, err));
+    EXPECT_EQ(v["kind"].asString(), "proto_event");
+    EXPECT_EQ(v["node"].asNumber(), 2.0);
+    EXPECT_EQ(v["addr"].asNumber(), 64.0);
+    EXPECT_EQ(v["event"].asString(), "d4_scramble");
+    EXPECT_EQ(v["scramble"].asNumber(), 5.0);
 }
 
 TEST(TraceSink, GlobalEventHelperStampsTick)
 {
     obs::TraceSink sink("", 16);
     obs::TraceSink *old = obs::setGlobalSink(&sink);
-    debug::setCurTick(1234);
+    obs::setCurTick(1234);
     obs::traceEvent(obs::TraceKind::CohUpgrade, 3, 0x80, 'C');
     obs::setGlobalSink(old);
     const auto snap = sink.snapshot();
@@ -374,6 +319,75 @@ TEST(TraceReconcile, NocSendRecordsMatchStatsCounters)
     std::remove(path.c_str());
 }
 
+/** Count proto_event lines in @p path after the last stats_reset,
+ * keyed by event name. */
+std::map<std::string, std::uint64_t>
+countProtoEvents(const std::string &path)
+{
+    std::map<std::string, std::uint64_t> counts;
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << path;
+    std::string line;
+    while (std::getline(in, line)) {
+        std::string err;
+        json::Value v;
+        EXPECT_TRUE(json::parse(line, v, err)) << line << ": " << err;
+        const std::string &kind = v["kind"].asString();
+        if (kind == "stats_reset")
+            counts.clear();
+        else if (kind == "proto_event")
+            ++counts[v["event"].asString()];
+    }
+    return counts;
+}
+
+TEST(TraceReconcile, ProtoEventsMatchEventCounters)
+{
+    // md1_hit records alone would wrap an in-memory ring: use a file.
+    const std::string path = "obs_test_proto_events.jsonl";
+    auto *sink = new obs::TraceSink(path, 4096);
+    obs::TraceSink *old = obs::setGlobalSink(sink);
+
+    // Tiny metadata stores and LLC (as in TinyStructureSweep) make
+    // every counted event fire, evictions included.
+    SystemParams base;
+    base.md1Entries = 16;
+    base.md2Entries = 32;
+    base.md3Entries = 64;
+    base.llc.sizeBytes = 128 * 1024;
+    auto sys = makeSystem(ConfigKind::D2mNsR, base);
+    auto streams = streamsFor(tinyWorkload(), sys->params().numNodes);
+    RunOptions opts;
+    opts.warmupInstsPerCore = 2'000;
+    const RunResult r = runMulticore(*sys, streams, opts);
+    EXPECT_EQ(r.valueErrors, 0u);
+
+    obs::setGlobalSink(old);
+    delete sink;  // flushes the tail
+
+    const auto counts = countProtoEvents(path);
+    const D2mEvents &ev = dynamic_cast<const D2mSystem &>(*sys).events();
+    const std::pair<const char *, std::uint64_t> expected[] = {
+        {"md1_hit", ev.md1Hits.value()},
+        {"md2_hit", ev.md2Hits.value()},
+        {"md3_lookup", ev.md3Lookups.value()},
+        {"d4_scramble", ev.d4.value()},
+        {"md2_prune", ev.md2Prunes.value()},
+        {"md2_spill", ev.md2Spills.value()},
+        {"md3_evict", ev.md3Evictions.value()},
+        {"case_e", ev.e.value()},
+        {"case_f", ev.f.value()},
+        {"replicate",
+         ev.replicationsInst.value() + ev.replicationsData.value()},
+    };
+    for (const auto &[event, counter] : expected) {
+        const auto it = counts.find(event);
+        EXPECT_EQ(it == counts.end() ? 0 : it->second, counter) << event;
+        EXPECT_GT(counter, 0u) << event;
+    }
+    std::remove(path.c_str());
+}
+
 // --------------------------------------------------- crash-time flush
 
 /** Read @p path, requiring every line to be valid JSON. */
@@ -403,7 +417,7 @@ TEST(TraceCrashFlushDeathTest, FatalFlushesBufferedRecords)
         {
             auto *sink = new obs::TraceSink(path, /*capacity=*/4096);
             obs::setGlobalSink(sink);
-            debug::setCurTick(99);
+            obs::setCurTick(99);
             for (int i = 0; i < 5; ++i)
                 obs::traceEvent(obs::TraceKind::NocSend, 1, 64, 2);
             fatal("boom with %d records buffered", 5);
@@ -423,7 +437,7 @@ TEST(TraceCrashFlushDeathTest, AtexitFlushesOnPlainExit)
         {
             auto *sink = new obs::TraceSink(path, /*capacity=*/4096);
             obs::setGlobalSink(sink);
-            debug::setCurTick(7);
+            obs::setCurTick(7);
             for (int i = 0; i < 3; ++i)
                 obs::traceEvent(obs::TraceKind::CohUpgrade, 0, 0x40, 'B');
             std::exit(0);

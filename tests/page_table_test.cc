@@ -50,36 +50,25 @@ TEST(PageTable, SameAsidShares)
 
 TEST(PageTable, FramesNeverCollide)
 {
-    for (PageTable::Mode mode :
-         {PageTable::Mode::Identity, PageTable::Mode::Demand}) {
-        PageTable pt(12, mode);
-        std::set<std::uint64_t> frames;
-        for (Addr v = 0; v < 256; ++v) {
-            const Addr pa = pt.translate(0, v << 12);
-            EXPECT_TRUE(frames.insert(pa >> 12).second)
-                << "frame reused for page " << v;
-        }
-        EXPECT_EQ(pt.numPages(), 256u);
+    PageTable pt;
+    std::set<std::uint64_t> frames;
+    for (Addr v = 0; v < 256; ++v) {
+        const Addr pa = pt.translate(0, v << 12);
+        EXPECT_TRUE(frames.insert(pa >> 12).second)
+            << "frame reused for page " << v;
     }
+    EXPECT_EQ(pt.numPages(), 256u);
 }
 
 TEST(PageTable, IdentityPreservesStrideAlignment)
 {
-    // The identity mode models huge-page allocation: power-of-two
+    // The page table models huge-page allocation: power-of-two
     // virtual strides stay power-of-two physical strides, which is
     // what makes the Section IV-D conflict pathology reproducible.
     PageTable pt;
     const Addr a0 = pt.translate(0, 0x1000'0000);
     const Addr a1 = pt.translate(0, 0x1002'0000);  // +128 KiB
     EXPECT_EQ(a1 - a0, 0x2'0000u);
-}
-
-TEST(PageTable, DemandModeSequentializes)
-{
-    PageTable pt(12, PageTable::Mode::Demand);
-    const Addr a0 = pt.translate(0, 0x1000'0000);
-    const Addr a1 = pt.translate(0, 0x1002'0000);
-    EXPECT_EQ(a1 - a0, 0x1000u);  // consecutive frames
 }
 
 TEST(Tlb, HitAfterFill)

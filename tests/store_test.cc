@@ -176,7 +176,7 @@ TEST(RunKeys, StableAndSensitiveToInputs)
     EXPECT_NE(a.hash,
               makeRunKey(ConfigKind::Base2L, wl, 500, 1000, sp2).hash);
     SystemParams sp3;
-    sp3.md3LockBits = sp.md3LockBits + 1;
+    sp3.nsPressurePeriod = sp.nsPressurePeriod + 1;
     EXPECT_NE(a.hash,
               makeRunKey(ConfigKind::Base2L, wl, 500, 1000, sp3).hash);
 
