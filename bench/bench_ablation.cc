@@ -18,14 +18,16 @@ namespace
 using namespace d2m;
 using namespace d2m::bench;
 
+/** One variant on @p wl, at the run length runOne() resolves. */
 Metrics
 runVariant(const NamedWorkload &wl, const SystemParams &params)
 {
+    const RunLength len = resolveRunLength(wl, benchOptions());
     auto sys = std::make_unique<D2mSystem>("d2m", params);
     auto streams = makeStreams(wl, params.numNodes, params.lineSize,
-                               2 * benchInsts());
+                               len.measured + len.warmup);
     RunOptions ropts;
-    ropts.warmupInstsPerCore = benchInsts();
+    ropts.warmupInstsPerCore = len.warmup;
     const RunResult run = runMulticore(*sys, streams, ropts);
     return collectMetrics(ConfigKind::D2mNsR, wl.suite, wl.name, *sys,
                           run);
@@ -50,14 +52,17 @@ main()
     };
     std::vector<Variant> variants;
     {
-        SystemParams fs = paramsFor(ConfigKind::D2mFs);
+        // Every variant runs at the node count of the Base-2L
+        // reference (D2M_NODES).
+        const SystemParams base = resolveBaseParams(benchOptions());
+        SystemParams fs = paramsFor(ConfigKind::D2mFs, base);
         variants.push_back({"FS (base D2M)", fs});
-        SystemParams ns = paramsFor(ConfigKind::D2mNs);
+        SystemParams ns = paramsFor(ConfigKind::D2mNs, base);
         variants.push_back({"NS (placement)", ns});
         SystemParams nsr = ns;
         nsr.replication = true;
         variants.push_back({"NS + replication", nsr});
-        SystemParams full = paramsFor(ConfigKind::D2mNsR);
+        SystemParams full = paramsFor(ConfigKind::D2mNsR, base);
         variants.push_back({"NS-R (+ dyn. indexing)", full});
         SystemParams noprune = full;
         noprune.md2Pruning = false;

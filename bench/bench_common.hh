@@ -46,17 +46,23 @@ benchOptions()
     return opts;
 }
 
-/** Print the standard bench banner. */
+/** Print the standard bench banner (it names the warm-up when
+ * D2M_WARMUP makes it differ from the measured length). */
 inline void
 banner(const char *what, const char *paper_ref)
 {
+    const RunLength len = resolveRunLength({}, benchOptions());
+    const std::string warmup = len.warmup == len.measured
+                                   ? "equal"
+                                   : std::to_string(len.warmup);
     std::printf("==================================================="
                 "=========================\n");
     std::printf("%s\n", what);
     std::printf("Reproduces: %s\n", paper_ref);
-    std::printf("Measured instructions/core: %llu (+ equal warmup); "
+    std::printf("Measured instructions/core: %llu (+ %s warmup); "
                 "override with D2M_INSTS_PER_CORE\n",
-                static_cast<unsigned long long>(benchInsts()));
+                static_cast<unsigned long long>(len.measured),
+                warmup.c_str());
     std::printf("==================================================="
                 "=========================\n\n");
 }
@@ -91,21 +97,21 @@ struct RawRun
     RunResult result;
 };
 
-/** Like runOne but returns the system (for D2M event counters). */
+/** Like runOne but returns the system (for D2M event counters). Run
+ * length and node count resolve as in runOne() (D2M_WARMUP,
+ * D2M_NODES), so its rows compare with runOne()'s. */
 inline RawRun
 runRaw(ConfigKind kind, const NamedWorkload &wl,
        SweepOptions opts = benchOptions())
 {
     RawRun out;
-    out.system = makeSystem(kind, opts.baseParams);
-    std::uint64_t measured = opts.instsPerCore
-                                 ? opts.instsPerCore
-                                 : wl.params.instructionsPerCore;
+    out.system = makeSystem(kind, resolveBaseParams(opts));
+    const RunLength len = resolveRunLength(wl, opts);
     auto streams = makeStreams(wl, out.system->params().numNodes,
                                out.system->params().lineSize,
-                               2 * measured);
+                               len.measured + len.warmup);
     RunOptions ropts = opts.runOptions;
-    ropts.warmupInstsPerCore = measured;
+    ropts.warmupInstsPerCore = len.warmup;
     out.result = runMulticore(*out.system, streams, ropts);
     return out;
 }
@@ -143,7 +149,7 @@ writeBenchJson(const char *name, const std::vector<Metrics> &rows)
 
 /**
  * Process exit code reflecting every sweep this binary ran: 0 clean,
- * 2 when cells failed or timed out, 3 when a drain interrupted the
+ * 2 when cells failed, 3 when a drain interrupted the
  * campaign (see kCampaignExit* in harness/runner.hh). Bench mains
  * return this so CI distinguishes "figures are complete" from
  * "figures have holes".

@@ -34,20 +34,18 @@ main()
     for (const auto &wl : picks) {
         double edp_off = 0;
         for (bool scramble : {false, true}) {
-            SweepOptions opts = benchOptions();
-            opts.baseParams.dynamicIndexing = scramble;
-            // Build D2M-NS directly so the preset does not reset the
-            // toggle.
-            const SystemParams p =
-                paramsFor(ConfigKind::D2mNs, opts.baseParams);
-            SystemParams ps = p;
+            const SweepOptions opts = benchOptions();
+            const RunLength len = resolveRunLength(wl, opts);
+            // Build D2M-NS directly and set the toggle after the
+            // preset, which turns it off.
+            SystemParams ps =
+                paramsFor(ConfigKind::D2mNs, resolveBaseParams(opts));
             ps.dynamicIndexing = scramble;
             auto sys = std::make_unique<D2mSystem>("d2m", ps);
-            auto streams =
-                makeStreams(wl, ps.numNodes, ps.lineSize,
-                            2 * benchInsts());
+            auto streams = makeStreams(wl, ps.numNodes, ps.lineSize,
+                                       len.measured + len.warmup);
             RunOptions ropts;
-            ropts.warmupInstsPerCore = benchInsts();
+            ropts.warmupInstsPerCore = len.warmup;
             const RunResult run = runMulticore(*sys, streams, ropts);
             const Metrics m = collectMetrics(ConfigKind::D2mNs, wl.suite,
                                              wl.name, *sys, run);

@@ -46,24 +46,11 @@ runMulticore(MemorySystem &system,
     obs::ProfScope kernelScope(obs::ProfSite::Kernel);
 
     while (remaining > 0) {
-        if (opts.progress) [[unlikely]] {
-            // Liveness + cancellation poll: one relaxed store and one
-            // relaxed load per access, only when a campaign monitors
-            // this run. The progress value just has to keep moving;
-            // accesses-so-far (plus one so the very first poll already
-            // differs from the rearmed zero) is the cheapest monotone.
-            opts.progress->store(result.accesses + total_committed + 1,
-                                 std::memory_order_relaxed);
-            if (opts.instsProgress) {
-                opts.instsProgress->store(total_committed,
-                                          std::memory_order_relaxed);
-            }
-            if (opts.cancel &&
-                opts.cancel->load(std::memory_order_relaxed) != 0) {
-                fatal("run cancelled by campaign watchdog/drain "
-                      "(timeout or shutdown requested)");
-            }
-        }
+        // Cancellation poll: one relaxed load per access of a sweep
+        // cell, so a drain stops the run at its next access.
+        if (opts.cancel &&
+            opts.cancel->load(std::memory_order_relaxed) != 0) [[unlikely]]
+            fatal("run cancelled by a shutdown drain (SIGINT/SIGTERM)");
         if (!warm && total_committed >= warmup_total) {
             warm = true;
             // Close the in-flight warmup interval against the

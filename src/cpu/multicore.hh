@@ -83,25 +83,10 @@ struct RunOptions
     obs::SelfProfiler *selfprof = nullptr;
 
     /**
-     * Campaign-watchdog liveness counter (null = unmonitored). The
-     * run loop stores a monotonically increasing progress value here
-     * every access; the watchdog thread (harness/watchdog.hh) marks
-     * the run stalled when the value stops advancing.
-     */
-    std::atomic<std::uint64_t> *progress = nullptr;
-    /**
-     * Committed-instruction counter for the campaign progress stream
-     * (null = unmonitored). Updated alongside @ref progress from the
-     * same unlikely branch; the progress aggregator
-     * (harness/progress.hh) reads it to compute per-cell KIPS and the
-     * campaign ETA.
-     */
-    std::atomic<std::uint64_t> *instsProgress = nullptr;
-    /**
-     * Cooperative cancellation flag (null = not cancellable). When it
-     * becomes nonzero (watchdog timeout or shutdown drain) the run
-     * loop raises a fatal() — which a sweep job's abort capture turns
-     * into a recoverable RunAborted outcome for just this cell.
+     * Cooperative cancellation flag (null = not cancellable). The run
+     * loop reads it once per access; when it is nonzero (a sweep's
+     * shutdown drain) the loop raises a fatal() — which a sweep job's
+     * abort capture turns into an abandoned cell.
      */
     const std::atomic<int> *cancel = nullptr;
 };

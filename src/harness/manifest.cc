@@ -97,11 +97,7 @@ manifestKeys()
     static const std::vector<ManifestKey> keys = {
         {"campaign", "store_dir", "D2M_STORE_DIR", false},
         {"campaign", "stats_json", "D2M_STATS_JSON", false},
-        {"campaign", "progress_json", "D2M_PROGRESS_JSON", false},
-        {"campaign", "progress_sec", "D2M_PROGRESS_SEC", true},
         {"campaign", "jobs", "D2M_JOBS", true},
-        {"campaign", "timeout_sec", "D2M_RUN_TIMEOUT", true},
-        {"campaign", "retries", "D2M_RUN_RETRIES", true},
         {"campaign", "resume", "D2M_RESUME", true},
         {"campaign", "build_fingerprint", "D2M_BUILD_FINGERPRINT", false},
         {"campaign", "quiet", "D2M_QUIET", true},

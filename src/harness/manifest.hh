@@ -3,16 +3,15 @@
  * Campaign sweep manifests (DESIGN.md §13).
  *
  * A manifest declares a whole campaign — grid, run lengths, seed,
- * jobs, store directory, timeout/retry budgets, build fingerprint,
- * observability outputs — in one key=value/section file instead of a
- * pile of D2M_* environment variables:
+ * jobs, store directory, build fingerprint, observability outputs —
+ * in one key=value/section file instead of a pile of D2M_* environment
+ * variables:
  *
  *   # fig5 nightly
  *   [campaign]
- *   store_dir   = out/store
- *   stats_json  = out/results.json
- *   timeout_sec = 120
- *   retries     = 1
+ *   store_dir  = out/store
+ *   stats_json = out/results.json
+ *   jobs       = 4
  *
  *   [grid]
  *   configs        = Base-2L,D2M-NS-R

@@ -80,10 +80,9 @@ struct Metrics
 
     // Campaign outcome (harness/store.hh, DESIGN.md §12). "ok" rows
     // serialize exactly as before; non-ok rows additionally carry
-    // status / attempts / error so failures are visible downstream.
-    std::string status = "ok";   //!< ok | failed | timeout | abandoned.
-    std::uint64_t attempts = 1;  //!< Executions including retries.
-    std::string errorMessage;    //!< Diagnostic for non-ok outcomes.
+    // status / error so failures are visible downstream.
+    std::string status = "ok";  //!< ok | failed | abandoned.
+    std::string errorMessage;   //!< Diagnostic for non-ok outcomes.
 };
 
 /** Extract metrics after a run. */

@@ -109,9 +109,8 @@ metricsToJson(const Metrics &m)
     // fields carry no numeric signal for stats_diff baselines.
     if (m.status != "ok") {
         os << "," << json::quote("status") << ":"
-           << json::quote(m.status) << "," << json::quote("attempts")
-           << ":" << json::number(m.attempts) << ","
-           << json::quote("error") << ":" << json::quote(m.errorMessage);
+           << json::quote(m.status) << "," << json::quote("error") << ":"
+           << json::quote(m.errorMessage);
     }
     os << "}";
     return os.str();
@@ -172,7 +171,6 @@ constexpr U64Field kU64Fields[] = {
     {"llc_tag_accesses", &Metrics::llcTagAccesses},
     {"value_errors", &Metrics::valueErrors},
     {"invariant_errors", &Metrics::invariantErrors},
-    {"attempts", &Metrics::attempts},
 };
 
 } // namespace
@@ -255,7 +253,6 @@ buildFailureRow(const Metrics &m)
            ",\"suite\":" + json::quote(m.suite) +
            ",\"benchmark\":" + json::quote(m.benchmark) +
            ",\"status\":" + json::quote(m.status) +
-           ",\"attempts\":" + json::number(m.attempts) +
            ",\"error\":" + json::quote(m.errorMessage) +
            ",\"metrics\":" + metricsToJson(m) + "}";
 }

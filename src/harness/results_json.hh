@@ -28,8 +28,8 @@ namespace d2m
 
 /** One Metrics row as a JSON object (deterministic field order).
  * Rows with status "ok" serialize exactly as they always have; non-ok
- * rows append status / attempts / error fields (strings, which the
- * stats_diff flattener ignores, so baselines stay comparable). */
+ * rows append status / error fields (strings, which the stats_diff
+ * flattener ignores, so baselines stay comparable). */
 std::string metricsToJson(const Metrics &m);
 
 /**
@@ -81,8 +81,8 @@ std::string buildRunRow(const Metrics &m, MemorySystem &system,
                         const obs::StatSnapshotter *intervals = nullptr,
                         const std::string &selfprof = "");
 
-/** A "runs" row for a cell with no surviving system state (failed or
- * timed-out run): identity + status + attempts + error + metrics. */
+/** A "runs" row for a cell with no surviving system state (a failed
+ * run): identity + status + error + metrics. */
 std::string buildFailureRow(const Metrics &m);
 
 /**

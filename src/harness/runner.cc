@@ -1,5 +1,6 @@
 #include "harness/runner.hh"
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -12,10 +13,8 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "harness/pool.hh"
-#include "harness/progress.hh"
 #include "harness/results_json.hh"
 #include "harness/store.hh"
-#include "harness/watchdog.hh"
 #include "obs/selfprof.hh"
 #include "obs/snapshot.hh"
 #include "obs/trace.hh"
@@ -25,6 +24,9 @@ namespace d2m
 
 namespace
 {
+
+/** Drain signals received (noteDrainSignal()); sweep cells poll it. */
+std::atomic<int> drainSignals{0};
 
 /** Per-run plumbing that the sweep drives but a single run doesn't. */
 struct RunContext
@@ -39,12 +41,8 @@ struct RunContext
     /** When non-null, receives the verbatim stats row (for the
      * durable result store). */
     std::string *rowOut = nullptr;
-    /** Watchdog liveness / cancellation wiring (campaign sweeps). */
-    std::atomic<std::uint64_t> *progress = nullptr;
-    std::atomic<int> *cancel = nullptr;
-    /** Committed-instruction counter for the campaign progress
-     * stream (null = unmonitored). */
-    std::atomic<std::uint64_t> *insts = nullptr;
+    /** Drain counter the run loop polls (null = not cancellable). */
+    const std::atomic<int> *cancel = nullptr;
     /** Full replacement for the D2M_INTERVAL_CSV path ("" = use the
      * configured path as-is). Multi-cell sweeps pass "iv.<slot>.csv"
      * style names so every run keeps its interval rows. */
@@ -83,40 +81,6 @@ emit(const RunContext &ctx, const std::string &line)
         std::fputs(line.c_str(), stderr);
 }
 
-/** Resolved measured/warmup instruction counts for one cell. */
-struct RunLength
-{
-    std::uint64_t measured = 0;
-    std::uint64_t warmup = 0;
-};
-
-/** opts.baseParams with the D2M_NODES core-count override applied.
-    Used for both system construction and store-key hashing, so runs
-    at different node counts can never collide in a result store. */
-SystemParams
-resolveBaseParams(const SweepOptions &opts)
-{
-    SystemParams p = opts.baseParams;
-    if (const std::uint64_t n = envU64("D2M_NODES", 0))
-        p.numNodes = static_cast<unsigned>(n);
-    return p;
-}
-
-RunLength
-resolveRunLength(const NamedWorkload &wl, const SweepOptions &opts)
-{
-    RunLength len;
-    len.measured = opts.instsPerCore;
-    if (len.measured == 0)
-        len.measured = instsPerCoreOverride();
-    if (len.measured == 0)
-        len.measured = wl.params.instructionsPerCore;
-    len.warmup = opts.warmupInstsPerCore;
-    if (len.warmup == ~std::uint64_t(0))
-        len.warmup = envU64("D2M_WARMUP", len.measured);
-    return len;
-}
-
 Metrics
 runOneImpl(ConfigKind kind, const NamedWorkload &wl,
            const SweepOptions &opts, const RunContext &ctx)
@@ -129,9 +93,7 @@ runOneImpl(ConfigKind kind, const NamedWorkload &wl,
                                len.measured + len.warmup);
     RunOptions ropts = opts.runOptions;
     ropts.warmupInstsPerCore = len.warmup;
-    ropts.progress = ctx.progress;
     ropts.cancel = ctx.cancel;
-    ropts.instsProgress = ctx.insts;
     // Per-run interval stats (D2M_INTERVAL_INSTS / _TICKS / _CSV):
     // the snapshotter attaches to this system's stats tree and rides
     // through RunOptions, so concurrent runs never share one.
@@ -195,26 +157,10 @@ resolveJobs(const SweepOptions &opts, std::size_t total)
 }
 
 /**
- * Per-attempt seed jitter (splitmix64 finalizer): attempt 0 runs the
- * configured seed untouched; retries get a deterministic function of
- * (seed, attempt) so a retried campaign is still reproducible.
- */
-std::uint64_t
-jitteredSeed(std::uint64_t seed, std::uint64_t attempt)
-{
-    if (attempt == 0)
-        return seed;
-    std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * attempt;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-}
-
-/**
  * SIGINT/SIGTERM during a sweep: first signal requests a graceful
- * drain (in-flight runs are cancelled and recorded as abandoned,
- * everything durable is already on disk); a second signal force-quits
- * after flushing observability sinks.
+ * drain (in-flight runs stop at their next access and are recorded as
+ * abandoned, everything durable is already on disk); a second signal
+ * force-quits after flushing observability sinks.
  */
 void
 drainSignalHandler(int sig)
@@ -277,6 +223,48 @@ processOutcomeRef()
 
 } // namespace
 
+RunLength
+resolveRunLength(const NamedWorkload &wl, const SweepOptions &opts)
+{
+    RunLength len;
+    len.measured = opts.instsPerCore;
+    if (len.measured == 0)
+        len.measured = instsPerCoreOverride();
+    if (len.measured == 0)
+        len.measured = wl.params.instructionsPerCore;
+    len.warmup = opts.warmupInstsPerCore;
+    if (len.warmup == ~std::uint64_t(0))
+        len.warmup = envU64("D2M_WARMUP", len.measured);
+    return len;
+}
+
+SystemParams
+resolveBaseParams(const SweepOptions &opts)
+{
+    SystemParams p = opts.baseParams;
+    if (const std::uint64_t n = envU64("D2M_NODES", 0))
+        p.numNodes = static_cast<unsigned>(n);
+    return p;
+}
+
+int
+noteDrainSignal()
+{
+    return drainSignals.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+bool
+drainRequested()
+{
+    return drainSignals.load(std::memory_order_relaxed) > 0;
+}
+
+void
+resetDrain()
+{
+    drainSignals.store(0, std::memory_order_relaxed);
+}
+
 const SweepOutcome &
 lastSweepOutcome()
 {
@@ -294,7 +282,7 @@ campaignExitCode(const SweepOutcome &outcome)
 {
     if (outcome.interrupted || outcome.abandoned)
         return kCampaignExitPartial;
-    if (outcome.failed || outcome.timeout)
+    if (outcome.failed)
         return kCampaignExitFailed;
     return kCampaignExitClean;
 }
@@ -317,6 +305,11 @@ runSweep(const std::vector<ConfigKind> &configs,
          const std::vector<NamedWorkload> &workloads,
          const SweepOptions &opts)
 {
+    fatal_if(opts.runTimeoutMs || opts.runRetries,
+             "SweepOptions::runTimeoutMs=%llu, runRetries=%llu: a sweep "
+             "runs each cell once, with no stall timeout; both must be 0",
+             static_cast<unsigned long long>(opts.runTimeoutMs),
+             static_cast<unsigned long long>(opts.runRetries));
     // A config that cannot be built would fail every one of its cells
     // at run time; reject the whole grid once, before any cell runs.
     const SystemParams base = resolveBaseParams(opts);
@@ -347,33 +340,8 @@ runSweep(const std::vector<ConfigKind> &configs,
         return rows;
     const std::uint64_t baseSlot = reserveRunSlots(specs.size());
 
-    // Campaign knobs (DESIGN.md §12). The struct sentinels defer to
-    // env so existing callers pick the behavior up without code
-    // changes.
-    const std::uint64_t timeoutMs =
-        opts.runTimeoutMs != ~std::uint64_t(0)
-            ? opts.runTimeoutMs
-            : envU64("D2M_RUN_TIMEOUT", 0) * 1000;
-    const std::uint64_t retries =
-        opts.runRetries != ~std::uint64_t(0) ? opts.runRetries
-                                             : envU64("D2M_RUN_RETRIES", 0);
     const bool resume = envU64("D2M_RESUME", 1) != 0;
     auto store = ResultStore::fromEnv();
-
-    // Campaign progress stream (D2M_PROGRESS_JSON + TTY status line).
-    // Created before the resume scan so resumed cells are counted; the
-    // explicit reset() after the execution loop emits the final record
-    // while the watchdog clients (whose insts counters it samples) are
-    // still alive.
-    std::vector<CampaignProgress::Cell> progressCells;
-    progressCells.reserve(specs.size());
-    for (const auto &s : specs) {
-        progressCells.push_back(
-            {s.wl->suite, s.wl->name, configKindName(s.kind)});
-    }
-    auto campaign = CampaignProgress::make(
-        CampaignProgress::fromEnv(opts.verbose),
-        std::move(progressCells));
 
     // Per-run interval CSVs: any sweep of more than one cell writes
     // "iv.<slot>.csv"-style files so no run overwrites another's rows
@@ -394,19 +362,16 @@ runSweep(const std::vector<ConfigKind> &configs,
         if (store) {
             const RunLength len = resolveRunLength(*specs[i].wl, opts);
             keys[i] = makeRunKey(specs[i].kind, *specs[i].wl, len.warmup,
-                                 len.measured, resolveBaseParams(opts));
+                                 len.measured, base);
             StoredRun prev;
             if (resume && store->lookup(keys[i], &prev)) {
                 rows[i] = prev.metrics;
                 exportRowJson(prev.row, baseSlot + i);
                 ++outcome.fromStore;
-                if (campaign)
-                    campaign->cellFromStore(i, runStatusName(prev.status));
-                switch (prev.status) {
-                  case RunStatus::Ok: ++outcome.ok; break;
-                  case RunStatus::Failed: ++outcome.failed; break;
-                  case RunStatus::Timeout: ++outcome.timeout; break;
-                }
+                if (prev.status == RunStatus::Ok)
+                    ++outcome.ok;
+                else
+                    ++outcome.failed;
                 if (opts.verbose) {
                     std::fprintf(stderr,
                                  "  resumed %-10s %-14s on %s from store "
@@ -424,20 +389,15 @@ runSweep(const std::vector<ConfigKind> &configs,
 
     // Atomic tallies: parallel cells bump these from pool threads.
     std::atomic<std::size_t> nExecuted{0}, nOk{0}, nFailed{0},
-        nTimeout{0}, nAbandoned{0};
+        nAbandoned{0};
 
     DrainScope drainScope;
-    RunWatchdog watchdog(timeoutMs);
-    std::vector<std::unique_ptr<WatchdogClient>> clients;
-    clients.reserve(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i)
-        clients.push_back(std::make_unique<WatchdogClient>());
 
-    auto executeCell = [&](std::size_t pi, bool parallel) {
-        const std::size_t i = pending[pi];
+    auto executeCell = [&](std::size_t i, bool parallel) {
         const JobSpec &spec = specs[i];
         RunContext ctx;
         ctx.slot = baseSlot + i;
+        ctx.cancel = &drainSignals;
         std::string log;
         std::unique_ptr<obs::TraceSink> sink;
         obs::TraceSink *prevSink = nullptr;
@@ -457,10 +417,6 @@ runSweep(const std::vector<ConfigKind> &configs,
                 prevSink = obs::setGlobalSink(sink.get());
             }
         }
-        WatchdogClient *client = clients[pi].get();
-        ctx.progress = &client->progress;
-        ctx.cancel = &client->cancel;
-        ctx.insts = &client->insts;
         if (perRunCsv)
             ctx.intervalCsv = perRunCsvPath(intervalCsvBase, baseSlot + i);
         std::string row;
@@ -468,82 +424,36 @@ runSweep(const std::vector<ConfigKind> &configs,
             ctx.rowOut = &row;
 
         Metrics m;
-        std::string status;
         std::string error;
-        std::uint64_t attempts = 0;
-        std::uint64_t seedUsed = spec.wl->params.seed;
+        // A cell queued behind a drain never starts; one in flight
+        // stops at its next access (RunOptions::cancel).
+        bool abandoned = drainRequested();
         bool done = false;
-        bool abandoned = false;
-
-        for (std::uint64_t attempt = 0; attempt <= retries; ++attempt) {
-            if (drainRequested()) {
-                abandoned = true;
-                break;
-            }
-            NamedWorkload wl = *spec.wl;
-            wl.params.seed = jitteredSeed(spec.wl->params.seed, attempt);
-            seedUsed = wl.params.seed;
-            ++attempts;
-            client->rearm();
-            watchdog.attach(client);
-            if (campaign)
-                campaign->cellStarted(i, attempt, &client->insts);
+        if (!abandoned) {
+            nExecuted.fetch_add(1, std::memory_order_relaxed);
             if (opts.verbose) {
                 emit(ctx, vformat("  running %-10s %-14s on %s...\n",
-                                  wl.suite.c_str(), wl.name.c_str(),
+                                  spec.wl->suite.c_str(),
+                                  spec.wl->name.c_str(),
                                   configKindName(spec.kind)));
             }
             try {
                 // Everything inside this scope that would normally
                 // abort the process (fatal/panic/invariant failures)
-                // is converted into RunAbortError and lands this cell
-                // in the FAILED bucket instead.
+                // is converted into RunAbortError: the cell is recorded
+                // as failed, or as abandoned when a drain stopped it.
                 ScopedAbortCapture capture;
                 if (opts.preRunHook)
-                    opts.preRunHook(wl, static_cast<unsigned>(attempt));
-                m = runOneImpl(spec.kind, wl, opts, ctx);
-                watchdog.detach(client);
+                    opts.preRunHook(*spec.wl, 0);
+                m = runOneImpl(spec.kind, *spec.wl, opts, ctx);
                 done = true;
-                break;
-            } catch (const RunAbortError &e) {
-                watchdog.detach(client);
-                const int why =
-                    client->cancel.load(std::memory_order_relaxed);
-                if (why == kCancelDrain || drainRequested()) {
-                    abandoned = true;
-                    break;
-                }
-                if (why == kCancelTimeout) {
-                    status = "timeout";
-                    error = vformat("exceeded D2M_RUN_TIMEOUT (%llu ms) "
-                                    "without progress",
-                                    static_cast<unsigned long long>(
-                                        timeoutMs));
-                } else {
-                    status = "failed";
-                    error = e.what();
-                }
             } catch (const std::exception &e) {
-                watchdog.detach(client);
-                status = "failed";
+                abandoned = drainRequested();
                 error = e.what();
-            }
-            if (opts.verbose && attempt < retries) {
-                emit(ctx, vformat(
-                         "  retrying %s/%s on %s (attempt %llu/%llu): "
-                         "%s\n",
-                         spec.wl->suite.c_str(), spec.wl->name.c_str(),
-                         configKindName(spec.kind),
-                         static_cast<unsigned long long>(attempt + 2),
-                         static_cast<unsigned long long>(retries + 1),
-                         error.c_str()));
             }
         }
 
-        nExecuted.fetch_add(attempts > 0 ? 1 : 0,
-                            std::memory_order_relaxed);
         if (done) {
-            m.attempts = attempts;
             if (opts.verbose) {
                 emit(ctx, vformat("    %.0f KIPS (warmup %.1fs, measure "
                                   "%.1fs)\n",
@@ -551,54 +461,36 @@ runSweep(const std::vector<ConfigKind> &configs,
                                   m.measureWallSec));
             }
             nOk.fetch_add(1, std::memory_order_relaxed);
-            if (campaign)
-                campaign->cellFinished(i, "ok");
             if (store) {
-                store->put({keys[i], RunStatus::Ok, seedUsed, attempts,
-                            "", unixNow(), m.simKips, m, row});
+                store->put({keys[i], RunStatus::Ok, "", unixNow(),
+                            m.simKips, m, row});
             }
-        } else if (abandoned) {
-            // Not stored and not exported: a resumed campaign must
-            // re-execute this cell.
-            m = Metrics{};
-            m.config = configKindName(spec.kind);
-            m.suite = spec.wl->suite;
-            m.benchmark = spec.wl->name;
-            m.status = "abandoned";
-            m.attempts = attempts ? attempts : 1;
-            nAbandoned.fetch_add(1, std::memory_order_relaxed);
-            if (campaign)
-                campaign->cellFinished(i, "abandoned");
         } else {
             m = Metrics{};
             m.config = configKindName(spec.kind);
             m.suite = spec.wl->suite;
             m.benchmark = spec.wl->name;
-            m.status = status;
-            m.attempts = attempts;
-            m.errorMessage = error;
-            row = buildFailureRow(m);
-            exportRowJson(row, baseSlot + i);
-            if (campaign)
-                campaign->cellFinished(i, status);
-            if (store) {
-                store->put({keys[i],
-                            status == "timeout" ? RunStatus::Timeout
-                                                : RunStatus::Failed,
-                            seedUsed, attempts, error, unixNow(), 0.0,
-                            m, row});
+            if (abandoned) {
+                // Not stored and not exported: a resumed campaign must
+                // re-execute this cell.
+                m.status = "abandoned";
+                nAbandoned.fetch_add(1, std::memory_order_relaxed);
+            } else {
+                m.status = "failed";
+                m.errorMessage = error;
+                row = buildFailureRow(m);
+                exportRowJson(row, baseSlot + i);
+                if (store) {
+                    store->put({keys[i], RunStatus::Failed, error,
+                                unixNow(), 0.0, m, row});
+                }
+                nFailed.fetch_add(1, std::memory_order_relaxed);
+                emit(ctx, vformat("ERROR: %s/%s on %s FAILED: %s\n",
+                                  spec.wl->suite.c_str(),
+                                  spec.wl->name.c_str(),
+                                  configKindName(spec.kind),
+                                  error.c_str()));
             }
-            (status == "timeout" ? nTimeout : nFailed)
-                .fetch_add(1, std::memory_order_relaxed);
-            emit(ctx, vformat("ERROR: %s/%s on %s %s after %llu "
-                              "attempt(s): %s\n",
-                              spec.wl->suite.c_str(),
-                              spec.wl->name.c_str(),
-                              configKindName(spec.kind),
-                              status == "timeout" ? "TIMED OUT"
-                                                  : "FAILED",
-                              static_cast<unsigned long long>(attempts),
-                              error.c_str()));
         }
         rows[i] = std::move(m);
 
@@ -616,22 +508,18 @@ runSweep(const std::vector<ConfigKind> &configs,
 
     const unsigned jobs = resolveJobs(opts, pending.size());
     if (jobs <= 1 || pending.empty()) {
-        for (std::size_t pi = 0; pi < pending.size(); ++pi)
-            executeCell(pi, /*parallel=*/false);
+        for (std::size_t i : pending)
+            executeCell(i, /*parallel=*/false);
     } else {
         WorkStealingPool pool(jobs);
-        for (std::size_t pi = 0; pi < pending.size(); ++pi)
-            pool.submit([&, pi] { executeCell(pi, /*parallel=*/true); });
+        for (std::size_t i : pending)
+            pool.submit([&, i] { executeCell(i, /*parallel=*/true); });
         pool.wait();
     }
-    // Final progress record (and TTY newline) before the watchdog
-    // clients the reporter samples go away.
-    campaign.reset();
 
     outcome.executed = nExecuted.load();
     outcome.ok += nOk.load();
     outcome.failed += nFailed.load();
-    outcome.timeout += nTimeout.load();
     outcome.abandoned = nAbandoned.load();
     outcome.interrupted = drainRequested();
 
@@ -644,7 +532,6 @@ runSweep(const std::vector<ConfigKind> &configs,
         acc.fromStore += outcome.fromStore;
         acc.ok += outcome.ok;
         acc.failed += outcome.failed;
-        acc.timeout += outcome.timeout;
         acc.abandoned += outcome.abandoned;
         acc.interrupted = acc.interrupted || outcome.interrupted;
     }
@@ -695,8 +582,7 @@ filteredWorkloads(std::vector<NamedWorkload> workloads)
         workloads = std::move(out);
     }
     // Campaign-wide seed override: one knob repoints every workload's
-    // stream generator (the per-attempt retry jitter still applies on
-    // top of it).
+    // stream generator.
     if (std::getenv("D2M_SEED")) {
         const std::uint64_t seed = envU64("D2M_SEED", 0);
         for (auto &wl : workloads)

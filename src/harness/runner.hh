@@ -47,21 +47,17 @@ struct SweepOptions
     unsigned jobs = 0;
     RunOptions runOptions{};
 
+    /** Retired: must stay 0 (runSweep() fatal()s otherwise). A sweep
+     * runs each cell exactly once, with no stall timeout. */
+    std::uint64_t runTimeoutMs = 0;
+    /** Retired: must stay 0 (runSweep() fatal()s otherwise). A failed
+     * cell is recorded as failed, never re-run with another seed. */
+    std::uint64_t runRetries = 0;
     /**
-     * Stall watchdog: a run whose access counter stops advancing for
-     * this long is cancelled and recorded as "timeout". The sentinel
-     * defers to env D2M_RUN_TIMEOUT (seconds); 0 disables.
-     */
-    std::uint64_t runTimeoutMs = ~std::uint64_t(0);
-    /** Extra attempts for failed/timed-out cells, each with a
-     * deterministically jittered seed. Sentinel = env D2M_RUN_RETRIES
-     * (default 0). */
-    std::uint64_t runRetries = ~std::uint64_t(0);
-    /**
-     * Test hook, called at the start of every attempt of every cell
-     * (before the system is built). Runs inside the per-run abort
-     * capture, so a fatal() here is recorded as that cell failing —
-     * the campaign tests use it to inject crashes, stalls and
+     * Test hook, called once at the start of every cell (before the
+     * system is built); the second argument is always 0. Runs inside
+     * the per-run abort capture, so a fatal() here is recorded as that
+     * cell failing — the campaign tests use it to inject crashes and
      * signals at precise points.
      */
     std::function<void(const NamedWorkload &wl, unsigned attempt)>
@@ -76,7 +72,6 @@ struct SweepOutcome
     std::size_t fromStore = 0;  //!< Cells resumed from D2M_STORE_DIR.
     std::size_t ok = 0;
     std::size_t failed = 0;
-    std::size_t timeout = 0;
     std::size_t abandoned = 0;  //!< Skipped by a shutdown drain.
     bool interrupted = false;   //!< SIGINT/SIGTERM drain happened.
 };
@@ -99,6 +94,42 @@ int campaignExitCode(const SweepOutcome &outcome);
 
 /** Exit code for the whole process (processSweepOutcome()). */
 int campaignExitCode();
+
+/** Measured and warm-up instructions per core of one cell. */
+struct RunLength
+{
+    std::uint64_t measured = 0;
+    std::uint64_t warmup = 0;
+};
+
+/**
+ * Run length of @p wl under @p opts. Measured: opts.instsPerCore, else
+ * D2M_INSTS_PER_CORE, else the workload's own count. Warm-up:
+ * opts.warmupInstsPerCore unless it is the ~0 sentinel, else
+ * D2M_WARMUP, else the measured count.
+ */
+RunLength resolveRunLength(const NamedWorkload &wl,
+                           const SweepOptions &opts);
+
+/** opts.baseParams with the D2M_NODES core-count override applied.
+ * Used for both system construction and store-key hashing, so runs
+ * at different node counts can never collide in a result store. */
+SystemParams resolveBaseParams(const SweepOptions &opts);
+
+/**
+ * Process-wide drain state, set from the sweep's SIGINT/SIGTERM
+ * handler (a lock-free atomic, so async-signal-safe). Every sweep cell
+ * reads it once per access through RunOptions::cancel.
+ */
+
+/** Note one received drain signal; @return the running count. */
+int noteDrainSignal();
+
+/** True once a drain has been requested. */
+bool drainRequested();
+
+/** Clear the drain state (tests that drain and then sweep again). */
+void resetDrain();
 
 /** Run one benchmark on one configuration. */
 Metrics runOne(ConfigKind kind, const NamedWorkload &wl,

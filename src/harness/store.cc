@@ -124,7 +124,6 @@ runStatusName(RunStatus s)
     switch (s) {
       case RunStatus::Ok: return "ok";
       case RunStatus::Failed: return "failed";
-      case RunStatus::Timeout: return "timeout";
     }
     return "unknown";
 }
@@ -233,10 +232,7 @@ ResultStore::recordToJson(const StoredRun &run)
     os << "{" << json::quote("key") << ":" << json::quote(run.key.hex())
        << "," << json::quote("status") << ":"
        << json::quote(runStatusName(run.status)) << ","
-       << json::quote("seed") << ":"
-       << json::quote("0x" + hex64(run.seed)) << ","
-       << json::quote("attempts") << ":" << json::number(run.attempts)
-       << "," << json::quote("error") << ":" << json::quote(run.error)
+       << json::quote("error") << ":" << json::quote(run.error)
        << "," << json::quote("finished_unix") << ":"
        << json::number(run.finishedUnix) << ","
        << json::quote("host_kips") << ":" << json::number(run.hostKips)
@@ -265,16 +261,9 @@ ResultStore::recordFromJson(const std::string &line, StoredRun *out)
         out->status = RunStatus::Ok;
     } else if (s == "failed") {
         out->status = RunStatus::Failed;
-    } else if (s == "timeout") {
-        out->status = RunStatus::Timeout;
     } else {
         return false;
     }
-    // Seeds are stored as hex strings: json numbers are doubles, which
-    // would silently round jittered 64-bit seeds.
-    out->seed = parseHex64(v["seed"].asString());
-    out->attempts =
-        static_cast<std::uint64_t>(v["attempts"].asNumber());
     out->error = v["error"].asString();
     // Records written before these fields existed parse as 0 (the
     // missing-key lookup yields a null value).
@@ -312,9 +301,11 @@ ResultStore::ResultStore(std::string dir)
                 return;
             StoredRun run;
             if (!recordFromJson(line, &run)) {
-                // Torn write from a crash mid-put: drop the line (the
-                // shard self-heals on the next persist).
-                warn("result store: dropping corrupt line in %s",
+                // Torn write from a crash mid-put, or a retired status:
+                // drop the line (the shard self-heals on the next
+                // persist, and the cell re-runs).
+                warn("result store: dropping unloadable line (torn, "
+                     "corrupt or retired status) in %s",
                      shardPath(shard).c_str());
                 return;
             }
@@ -363,8 +354,9 @@ ResultStore::put(const StoredRun &run)
     const std::string line = recordToJson(run);
     auto &lines = shardLines_[shard];
     if (index_.count(run.key.hash)) {
-        // Replace in place (retry of a previously failed cell): keep
-        // one line per key so shards do not grow without bound.
+        // Replace in place (a re-run of a previously failed cell, or
+        // D2M_RESUME=0): keep one line per key so shards do not grow
+        // without bound.
         for (auto &existing : lines) {
             StoredRun prev;
             if (recordFromJson(existing, &prev) &&

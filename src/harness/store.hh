@@ -39,9 +39,8 @@ namespace d2m
 /** Final status of one campaign cell. */
 enum class RunStatus
 {
-    Ok,       //!< Completed, metrics valid.
-    Failed,   //!< fatal()/panic()/exception in the run (after retries).
-    Timeout,  //!< No progress for D2M_RUN_TIMEOUT (after retries).
+    Ok,      //!< Completed, metrics valid.
+    Failed,  //!< fatal()/panic()/exception in the run.
 };
 
 const char *runStatusName(RunStatus s);
@@ -82,9 +81,7 @@ struct StoredRun
 {
     RunKey key;
     RunStatus status = RunStatus::Ok;
-    std::uint64_t seed = 0;      //!< Seed actually used (after jitter).
-    std::uint64_t attempts = 1;  //!< Executions including retries.
-    std::string error;           //!< Diagnostic for non-ok outcomes.
+    std::string error;  //!< Diagnostic for non-ok outcomes.
     /** Host wall-clock (unix seconds) when the cell finished, and its
      * measured simulation rate. Campaign-host telemetry only: the
      * dashboard plots KIPS trends across resumed campaigns from these,
@@ -129,7 +126,10 @@ class ResultStore
     /** Serialize one record as a single JSONL line (no newline). */
     static std::string recordToJson(const StoredRun &run);
 
-    /** Parse one line; @return false on torn/corrupt input. */
+    /** Parse one line; @return false on torn/corrupt input, and on
+     * a status this code no longer writes ("timeout"), so that cell
+     * re-runs on resume. Older records' "seed" and "attempts" fields
+     * are ignored. */
     static bool recordFromJson(const std::string &line, StoredRun *out);
 
   private:

@@ -65,8 +65,6 @@ childSweep(const std::string &storeDir, const std::string &jsonPath,
     opts.verbose = false;
     opts.warmupInstsPerCore = 500;
     opts.jobs = 1;
-    opts.runTimeoutMs = 0;
-    opts.runRetries = 0;
     if (killAtCell) {
         opts.preRunHook = [killAtCell](const NamedWorkload &, unsigned) {
             if (++cellsStarted == killAtCell)
@@ -144,8 +142,6 @@ TEST(CampaignResume, KillResumeByteIdenticalStats)
     ::setenv("D2M_BUILD_FINGERPRINT", "resume-test", 1);
     ::unsetenv("D2M_STORE_DIR");
     ::unsetenv("D2M_STATS_JSON");
-    ::unsetenv("D2M_RUN_TIMEOUT");
-    ::unsetenv("D2M_RUN_RETRIES");
 
     const std::string tmp = testing::TempDir();
     const std::string store = tmp + "resume_store";

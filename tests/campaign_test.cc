@@ -1,21 +1,17 @@
 /**
  * @file
- * Campaign fault isolation: a run that fatal()s, stalls, or drains
- * must be recorded as failed/timeout/abandoned while the rest of the
- * grid completes; bounded retries rerun only the broken cell
- * (DESIGN.md §12).
+ * Campaign fault isolation: a run that fatal()s or drains must be
+ * recorded as failed/abandoned while the rest of the grid completes,
+ * and each cell runs exactly once (DESIGN.md §12).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
-#include <thread>
 
 #include "common/logging.hh"
 #include "harness/runner.hh"
-#include "harness/watchdog.hh"
 
 namespace d2m
 {
@@ -42,8 +38,6 @@ campaignOptions()
     opts.verbose = false;
     opts.warmupInstsPerCore = 500;
     opts.jobs = 1;
-    opts.runTimeoutMs = 0;  // no watchdog unless a test enables it
-    opts.runRetries = 0;
     return opts;
 }
 
@@ -86,8 +80,11 @@ TEST(AbortCapture, InactiveOutsideScope)
 
 TEST(CampaignIsolation, FatalRunFailsAloneGridCompletes)
 {
+    std::atomic<unsigned> calls{0};
     auto opts = campaignOptions();
-    opts.preRunHook = [](const NamedWorkload &wl, unsigned) {
+    opts.preRunHook = [&](const NamedWorkload &wl, unsigned attempt) {
+        EXPECT_EQ(attempt, 0u);
+        calls.fetch_add(1);
         if (wl.name == "wl1")
             fatal("injected failure in %s", wl.name.c_str());
     };
@@ -98,7 +95,6 @@ TEST(CampaignIsolation, FatalRunFailsAloneGridCompletes)
     for (const auto &m : rows) {
         if (m.benchmark == "wl1") {
             EXPECT_EQ(m.status, "failed");
-            EXPECT_EQ(m.attempts, 1u);
             EXPECT_NE(m.errorMessage.find("injected failure"),
                       std::string::npos);
             EXPECT_EQ(m.instructions, 0u) << "failure rows zero-filled";
@@ -109,6 +105,7 @@ TEST(CampaignIsolation, FatalRunFailsAloneGridCompletes)
         }
     }
     EXPECT_EQ(failed, kTwoConfigs.size());
+    EXPECT_EQ(calls.load(), 6u) << "each cell runs once, failed or not";
 
     const SweepOutcome &o = lastSweepOutcome();
     EXPECT_EQ(o.total, 6u);
@@ -134,89 +131,25 @@ TEST(CampaignIsolation, ParallelGridSurvivesFatalRun)
     EXPECT_EQ(lastSweepOutcome().failed, 2u);
 }
 
-TEST(CampaignRetry, TransientFailureRetriedToSuccess)
+TEST(CampaignDeathTest, RetiredOptionsMustStayZero)
 {
     auto opts = campaignOptions();
     opts.runRetries = 1;
-    opts.preRunHook = [](const NamedWorkload &wl, unsigned attempt) {
-        if (wl.name == "wl2" && attempt == 0)
-            fatal("transient failure");
-    };
-    const auto rows = runSweep(kTwoConfigs, smallWorkloads(), opts);
-    for (const auto &m : rows) {
-        EXPECT_EQ(m.status, "ok") << m.benchmark;
-        EXPECT_EQ(m.attempts, m.benchmark == "wl2" ? 2u : 1u);
-    }
-    EXPECT_EQ(lastSweepOutcome().failed, 0u);
-    EXPECT_EQ(campaignExitCode(lastSweepOutcome()), kCampaignExitClean);
-}
-
-TEST(CampaignRetry, RetriesAreBounded)
-{
-    std::atomic<unsigned> calls{0};
-    auto opts = campaignOptions();
-    opts.runRetries = 2;
-    opts.preRunHook = [&](const NamedWorkload &wl, unsigned) {
-        if (wl.name == "wl0") {
-            calls.fetch_add(1);
-            fatal("permanent failure");
-        }
-    };
-    const std::vector<NamedWorkload> one = {smallWorkloads()[0]};
-    const auto rows =
-        runSweep({ConfigKind::Base2L}, one, opts);
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_EQ(rows[0].status, "failed");
-    EXPECT_EQ(rows[0].attempts, 3u) << "1 try + 2 retries";
-    EXPECT_EQ(calls.load(), 3u);
-}
-
-TEST(CampaignTimeout, StalledRunTimesOut)
-{
-    auto opts = campaignOptions();
+    EXPECT_EXIT(runSweep(kTwoConfigs, smallWorkloads(), opts),
+                testing::ExitedWithCode(1), "runRetries=1: .* must be 0");
+    opts.runRetries = 0;
     opts.runTimeoutMs = 50;
-    opts.preRunHook = [](const NamedWorkload &wl, unsigned) {
-        if (wl.name == "wl1") {
-            // Simulate a stall: hold the cell with zero progress well
-            // past the timeout; the watchdog cancels, and the run
-            // aborts at its first progress poll.
-            std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        }
-    };
-    const std::vector<NamedWorkload> two = {smallWorkloads()[0],
-                                            smallWorkloads()[1]};
-    const auto rows = runSweep({ConfigKind::Base2L}, two, opts);
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows[0].status, "ok");
-    EXPECT_EQ(rows[1].status, "timeout");
-    EXPECT_NE(rows[1].errorMessage.find("D2M_RUN_TIMEOUT"),
-              std::string::npos);
-    EXPECT_EQ(lastSweepOutcome().timeout, 1u);
-    EXPECT_EQ(campaignExitCode(lastSweepOutcome()), kCampaignExitFailed);
-}
-
-TEST(CampaignTimeout, StallRetriedToSuccess)
-{
-    auto opts = campaignOptions();
-    opts.runTimeoutMs = 50;
-    opts.runRetries = 1;
-    opts.preRunHook = [](const NamedWorkload &wl, unsigned attempt) {
-        if (wl.name == "wl0" && attempt == 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    };
-    const std::vector<NamedWorkload> one = {smallWorkloads()[0]};
-    const auto rows = runSweep({ConfigKind::Base2L}, one, opts);
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_EQ(rows[0].status, "ok");
-    EXPECT_EQ(rows[0].attempts, 2u);
+    EXPECT_EXIT(runSweep(kTwoConfigs, smallWorkloads(), opts),
+                testing::ExitedWithCode(1),
+                "runTimeoutMs=50, runRetries=0: .* must be 0");
 }
 
 TEST(CampaignDrain, SigintAbandonsRemainingCells)
 {
     std::atomic<unsigned> started{0};
     auto opts = campaignOptions();
-    opts.preRunHook = [&](const NamedWorkload &, unsigned attempt) {
-        if (attempt == 0 && started.fetch_add(1) + 1 == 2)
+    opts.preRunHook = [&](const NamedWorkload &, unsigned) {
+        if (started.fetch_add(1) + 1 == 2)
             std::raise(SIGINT);  // caught by the sweep's drain handler
     };
     const auto rows = runSweep(kTwoConfigs, smallWorkloads(), opts);
@@ -224,11 +157,40 @@ TEST(CampaignDrain, SigintAbandonsRemainingCells)
     resetDrain();  // don't poison later tests in this binary
     ASSERT_EQ(rows.size(), 6u);
     EXPECT_TRUE(o.interrupted);
-    // Cell 1 completed before the signal; cells after the in-flight
-    // one are abandoned at attempt start, deterministically.
-    EXPECT_GE(o.ok, 1u);
-    EXPECT_GE(o.abandoned, 4u);
+    // Cell 1 completed before the signal. Cell 2, in flight, stops at
+    // its first access; the four after it never start.
+    EXPECT_EQ(o.ok, 1u);
+    EXPECT_EQ(o.abandoned, 5u);
+    EXPECT_EQ(o.executed, 2u);
+    EXPECT_EQ(started.load(), 2u);
     EXPECT_EQ(campaignExitCode(o), kCampaignExitPartial);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].status, i == 0 ? "ok" : "abandoned") << i;
+        if (i > 0) {
+            EXPECT_EQ(rows[i].instructions, 0u);
+        }
+    }
+}
+
+TEST(CampaignDrain, ParallelSigintStopsInFlightCells)
+{
+    // Every pool thread reads the one drain counter; the thread that
+    // raises the signal is in flight, so its cell always stops.
+    std::atomic<unsigned> started{0};
+    auto opts = campaignOptions();
+    opts.jobs = 3;
+    opts.preRunHook = [&](const NamedWorkload &, unsigned) {
+        if (started.fetch_add(1) + 1 == 3)
+            std::raise(SIGINT);
+    };
+    const auto rows = runSweep(kTwoConfigs, smallWorkloads(), opts);
+    const SweepOutcome o = lastSweepOutcome();
+    resetDrain();
+    ASSERT_EQ(rows.size(), 6u);
+    EXPECT_TRUE(o.interrupted);
+    EXPECT_EQ(o.failed, 0u);
+    EXPECT_EQ(o.ok + o.abandoned, 6u);
+    EXPECT_GE(o.abandoned, 1u);
     for (const auto &m : rows) {
         if (m.status == "abandoned") {
             EXPECT_EQ(m.instructions, 0u);

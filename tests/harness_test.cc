@@ -182,6 +182,44 @@ tinyWorkload()
     return {"t", "t", p};
 }
 
+TEST(Runner, ResolversPreferOptionsThenEnvThenDefaults)
+{
+    ::unsetenv("D2M_INSTS_PER_CORE");
+    ::unsetenv("D2M_WARMUP");
+    ::unsetenv("D2M_NODES");
+    const NamedWorkload wl = tinyWorkload();
+    SweepOptions opts;
+
+    // Measured: option, then D2M_INSTS_PER_CORE, then the workload's.
+    EXPECT_EQ(resolveRunLength(wl, opts).measured, 2'000u);
+    ::setenv("D2M_INSTS_PER_CORE", "1200", 1);
+    EXPECT_EQ(resolveRunLength(wl, opts).measured, 1'200u);
+    opts.instsPerCore = 900;
+    EXPECT_EQ(resolveRunLength(wl, opts).measured, 900u);
+    ::unsetenv("D2M_INSTS_PER_CORE");
+
+    // Warm-up: option (0 included), then D2M_WARMUP, then the
+    // measured length.
+    EXPECT_EQ(resolveRunLength(wl, opts).warmup, 900u);
+    ::setenv("D2M_WARMUP", "700", 1);
+    EXPECT_EQ(resolveRunLength(wl, opts).warmup, 700u);
+    opts.warmupInstsPerCore = 300;
+    EXPECT_EQ(resolveRunLength(wl, opts).warmup, 300u);
+    opts.warmupInstsPerCore = 0;
+    EXPECT_EQ(resolveRunLength(wl, opts).warmup, 0u);
+    ::unsetenv("D2M_WARMUP");
+
+    // D2M_NODES sets numNodes and nothing else.
+    opts.baseParams.numNodes = 2;
+    opts.baseParams.md1Entries = 64;
+    EXPECT_EQ(resolveBaseParams(opts).numNodes, 2u);
+    ::setenv("D2M_NODES", "8", 1);
+    const SystemParams p = resolveBaseParams(opts);
+    ::unsetenv("D2M_NODES");
+    EXPECT_EQ(p.numNodes, 8u);
+    EXPECT_EQ(p.md1Entries, 64u);
+}
+
 SweepOptions
 tinySweep()
 {

@@ -21,7 +21,7 @@ const char *kText =
     "# fig5 nightly\n"
     "[campaign]\n"
     "store_dir   = out/store\n"
-    "timeout_sec = 120\n"
+    "jobs        = 4\n"
     "\n"
     "[grid]\n"
     "configs        = Base-2L,D2M-NS-R\n"
@@ -41,8 +41,8 @@ TEST(Manifest, ParseRoundTrip)
     EXPECT_EQ(m.entries[0].env, "D2M_STORE_DIR");
     EXPECT_EQ(m.entries[0].line, 3);
 
-    EXPECT_EQ(m.entries[1].env, "D2M_RUN_TIMEOUT");
-    EXPECT_EQ(m.entries[1].value, "120");
+    EXPECT_EQ(m.entries[1].env, "D2M_JOBS");
+    EXPECT_EQ(m.entries[1].value, "4");
 
     EXPECT_EQ(m.entries[2].env, "D2M_CONFIG_FILTER");
     EXPECT_EQ(m.entries[2].value, "Base-2L,D2M-NS-R");
@@ -127,6 +127,22 @@ TEST(ManifestDeathTest, UnknownKeyIsFatal)
     // event log.
     EXPECT_EXIT(parseManifestText("[obs]\ndebug = MD\n", "t"),
                 testing::ExitedWithCode(1), "t:2: unknown key 'debug'");
+    // Retired with the stall watchdog, the seed-changing retries and
+    // the live progress stream: a sweep runs each cell once.
+    EXPECT_EXIT(parseManifestText("[campaign]\ntimeout_sec = 120\n", "t"),
+                testing::ExitedWithCode(1),
+                "t:2: unknown key 'timeout_sec'");
+    EXPECT_EXIT(
+        parseManifestText("[campaign]\njobs = 2\nretries = 1\n", "t"),
+        testing::ExitedWithCode(1), "t:3: unknown key 'retries'");
+    EXPECT_EXIT(parseManifestText(
+                    "[campaign]\nprogress_json = p.jsonl\n", "t"),
+                testing::ExitedWithCode(1),
+                "t:2: unknown key 'progress_json'");
+    EXPECT_EXIT(parseManifestText(
+                    "[campaign]\njobs = 2\n\nprogress_sec = 1\n", "t"),
+                testing::ExitedWithCode(1),
+                "t:4: unknown key 'progress_sec'");
 }
 
 TEST(ManifestDeathTest, DuplicateKeyIsFatal)
@@ -157,34 +173,34 @@ TEST(ManifestDeathTest, KeyBeforeSectionIsFatal)
 TEST(Manifest, ApplySeedsUnsetVariables)
 {
     ::unsetenv("D2M_STORE_DIR");
-    ::unsetenv("D2M_RUN_TIMEOUT");
+    ::unsetenv("D2M_JOBS");
     Manifest m = parseManifestText(
-        "[campaign]\nstore_dir = /tmp/mstore\ntimeout_sec = 42\n", "t");
+        "[campaign]\nstore_dir = /tmp/mstore\njobs = 42\n", "t");
     EXPECT_EQ(applyManifest(m, false), 2u);
     EXPECT_STREQ(std::getenv("D2M_STORE_DIR"), "/tmp/mstore");
-    EXPECT_STREQ(std::getenv("D2M_RUN_TIMEOUT"), "42");
+    EXPECT_STREQ(std::getenv("D2M_JOBS"), "42");
     EXPECT_FALSE(m.entries[0].overridden);
     EXPECT_FALSE(m.entries[1].overridden);
     ::unsetenv("D2M_STORE_DIR");
-    ::unsetenv("D2M_RUN_TIMEOUT");
+    ::unsetenv("D2M_JOBS");
 }
 
 TEST(Manifest, EnvironmentWinsOverManifest)
 {
     // The precedence rule: an exported variable beats the manifest, so
     // ad-hoc experimentation never requires editing the file.
-    ::setenv("D2M_RUN_TIMEOUT", "7", 1);
+    ::setenv("D2M_JOBS", "7", 1);
     ::unsetenv("D2M_STORE_DIR");
     Manifest m = parseManifestText(
-        "[campaign]\nstore_dir = /tmp/mstore\ntimeout_sec = 42\n", "t");
+        "[campaign]\nstore_dir = /tmp/mstore\njobs = 42\n", "t");
     EXPECT_EQ(applyManifest(m, false), 1u)
         << "only the unset variable is applied";
-    EXPECT_STREQ(std::getenv("D2M_RUN_TIMEOUT"), "7")
+    EXPECT_STREQ(std::getenv("D2M_JOBS"), "7")
         << "environment value must survive";
     EXPECT_STREQ(std::getenv("D2M_STORE_DIR"), "/tmp/mstore");
     EXPECT_TRUE(m.entries[1].overridden);
     EXPECT_FALSE(m.entries[0].overridden);
-    ::unsetenv("D2M_RUN_TIMEOUT");
+    ::unsetenv("D2M_JOBS");
     ::unsetenv("D2M_STORE_DIR");
 }
 

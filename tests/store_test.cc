@@ -1,18 +1,26 @@
 /**
  * @file
  * Durable result store: record round-trips, last-record-wins
- * reloads, torn-line tolerance, and run-key stability/uniqueness
- * (DESIGN.md §12).
+ * reloads, torn-line tolerance, records of the previous format, and
+ * run-key stability/uniqueness (DESIGN.md §12).
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 
+#include "harness/runner.hh"
 #include "harness/store.hh"
+#include "obs/json.hh"
 #include "workload/suites.hh"
 
 namespace d2m
@@ -48,8 +56,6 @@ sampleRun(std::uint64_t keyHash, RunStatus status = RunStatus::Ok)
     StoredRun run;
     run.key.hash = keyHash;
     run.status = status;
-    run.seed = 0xDEADBEEFCAFE0001ull;  // needs full 64-bit round-trip
-    run.attempts = 2;
     run.error = status == RunStatus::Ok ? "" : "synthetic \"error\"";
     run.metrics.config = "Base-2L";
     run.metrics.suite = "stest";
@@ -72,8 +78,6 @@ TEST(ResultStore, RecordRoundTrip)
     ASSERT_TRUE(ResultStore::recordFromJson(line, &back));
     EXPECT_EQ(back.key.hash, run.key.hash);
     EXPECT_EQ(back.status, run.status);
-    EXPECT_EQ(back.seed, run.seed);
-    EXPECT_EQ(back.attempts, run.attempts);
     EXPECT_EQ(back.error, run.error);
     EXPECT_EQ(back.metrics.config, run.metrics.config);
     EXPECT_EQ(back.metrics.instructions, run.metrics.instructions);
@@ -86,11 +90,11 @@ TEST(ResultStore, RecordRoundTrip)
 
 TEST(ResultStore, FailureRecordRoundTrip)
 {
-    const StoredRun run = sampleRun(42, RunStatus::Timeout);
+    const StoredRun run = sampleRun(42, RunStatus::Failed);
     StoredRun back;
     ASSERT_TRUE(ResultStore::recordFromJson(ResultStore::recordToJson(run),
                                             &back));
-    EXPECT_EQ(back.status, RunStatus::Timeout);
+    EXPECT_EQ(back.status, RunStatus::Failed);
     EXPECT_EQ(back.error, run.error);
 }
 
@@ -103,7 +107,7 @@ TEST(ResultStore, PutLookupReloadLastWins)
         store.put(sampleRun(1));
         store.put(sampleRun(2));
         StoredRun updated = sampleRun(1);
-        updated.attempts = 9;
+        updated.hostKips = 9;
         store.put(updated);  // replaces, same key
         EXPECT_EQ(store.size(), 2u);
     }
@@ -112,7 +116,7 @@ TEST(ResultStore, PutLookupReloadLastWins)
     EXPECT_EQ(store.size(), 2u);
     StoredRun out;
     ASSERT_TRUE(store.lookup(RunKey{1}, &out));
-    EXPECT_EQ(out.attempts, 9u) << "newest record must win";
+    EXPECT_EQ(out.hostKips, 9.0) << "newest record must win";
     ASSERT_TRUE(store.lookup(RunKey{2}, &out));
     EXPECT_FALSE(store.lookup(RunKey{3}, &out));
 }
@@ -145,6 +149,150 @@ TEST(ResultStore, ToleratesTornAndGarbageLines)
     store.put(sampleRun(1 + ResultStore::kShards));  // same shard
     ResultStore healed(dir);
     EXPECT_EQ(healed.size(), 2u);
+}
+
+/** Path of the shard that holds @p key in store @p dir. */
+std::string
+shardFile(const std::string &dir, const RunKey &key)
+{
+    char name[32];
+    std::snprintf(name, sizeof(name), "/shard-%02u.jsonl",
+                  static_cast<unsigned>(key.hash % ResultStore::kShards));
+    return dir + name;
+}
+
+/** A zero-filled metrics object with @p status, as the previous format
+ * wrote it: non-ok rows carried an "attempts" count. */
+std::string
+oldMetricsJson(const std::string &config, const std::string &status,
+               const std::string &error)
+{
+    std::string m = "{\"config\":\"" + config +
+                    "\",\"suite\":\"stest\",\"benchmark\":\"wl\","
+                    "\"instructions\":0,\"cycles\":0,\"ipc\":0.000000";
+    if (status != "ok") {
+        m += ",\"status\":\"" + status + "\",\"attempts\":1,\"error\":" +
+             json::quote(error);
+    }
+    return m + "}";
+}
+
+/** One store line in the previous format: a "seed" hex string and an
+ * "attempts" count between the status and the error. */
+std::string
+oldRecordLine(const RunKey &key, const std::string &status,
+              const std::string &metrics, const std::string &row)
+{
+    return "{\"key\":\"" + key.hex() + "\",\"status\":\"" + status +
+           "\",\"seed\":\"0xdeadbeefcafe0001\",\"attempts\":2,"
+           "\"error\":\"\",\"finished_unix\":1792298337.503211,"
+           "\"host_kips\":812.500000,\"metrics\":" +
+           metrics + ",\"row\":" + json::quote(row) + "}";
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+TEST(ResultStore, PreviousFormatRecordsReplayVerbatim)
+{
+    ::setenv("D2M_BUILD_FINGERPRINT", "store-compat", 1);
+    const std::string dir = freshDir("store_compat");
+    const std::string json = testing::TempDir() + "store_compat.json";
+    std::remove(json.c_str());
+    ::mkdir(dir.c_str(), 0777);
+
+    // Keys exactly as runSweep() computes them for the sweep below.
+    const NamedWorkload wl = testWorkload();
+    const RunKey okKey =
+        makeRunKey(ConfigKind::Base2L, wl, 500, 1000, SystemParams{});
+    const RunKey failKey =
+        makeRunKey(ConfigKind::Base3L, wl, 500, 1000, SystemParams{});
+    const std::string okRow =
+        "{\"config\":\"Base-2L\",\"suite\":\"stest\",\"benchmark\":"
+        "\"wl\",\"metrics\":" + oldMetricsJson("Base-2L", "ok", "") +
+        ",\"stats\":{\"x\":1}}";
+    const std::string failMetrics =
+        oldMetricsJson("Base-3L", "failed", "boom");
+    const std::string failRow =
+        "{\"config\":\"Base-3L\",\"suite\":\"stest\",\"benchmark\":"
+        "\"wl\",\"status\":\"failed\",\"attempts\":1,\"error\":"
+        "\"boom\",\"metrics\":" + failMetrics + "}";
+    {
+        std::ofstream(shardFile(dir, okKey), std::ios::app)
+            << oldRecordLine(okKey, "ok", oldMetricsJson("Base-2L", "ok", ""),
+                             okRow)
+            << "\n";
+        std::ofstream(shardFile(dir, failKey), std::ios::app)
+            << oldRecordLine(failKey, "failed", failMetrics, failRow)
+            << "\n";
+    }
+
+    ResultStore store(dir);
+    EXPECT_EQ(store.size(), 2u);
+    StoredRun out;
+    ASSERT_TRUE(store.lookup(okKey, &out));
+    EXPECT_EQ(out.status, RunStatus::Ok);
+    EXPECT_EQ(out.hostKips, 812.5);
+    EXPECT_EQ(out.row, okRow);
+    ASSERT_TRUE(store.lookup(failKey, &out));
+    EXPECT_EQ(out.status, RunStatus::Failed);
+    EXPECT_EQ(out.metrics.errorMessage, "boom");
+    EXPECT_EQ(out.row, failRow);
+
+    // Resume replays both rows byte for byte and executes nothing. The
+    // child forks before D2M_STATS_JSON is first read (it is latched).
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::setenv("D2M_STORE_DIR", dir.c_str(), 1);
+        ::setenv("D2M_STATS_JSON", json.c_str(), 1);
+        SweepOptions opts;
+        opts.verbose = false;
+        opts.warmupInstsPerCore = 500;
+        opts.jobs = 1;
+        opts.preRunHook = [](const NamedWorkload &, unsigned) {
+            std::_Exit(7);  // no cell may execute
+        };
+        runSweep({ConfigKind::Base2L, ConfigKind::Base3L}, {wl}, opts);
+        std::_Exit(campaignExitCode(lastSweepOutcome()));
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), kCampaignExitFailed)
+        << "the stored failure counts; nothing re-runs";
+    EXPECT_EQ(readFile(json),
+              "{\"runs\":[\n" + okRow + ",\n" + failRow + "\n]}\n");
+    std::remove(json.c_str());
+    ::unsetenv("D2M_BUILD_FINGERPRINT");
+}
+
+TEST(ResultStore, TimeoutRecordIsDroppedLikeATornLine)
+{
+    const std::string dir = freshDir("store_timeout");
+    ::mkdir(dir.c_str(), 0777);
+    const RunKey key{5};
+    const std::string line = oldRecordLine(
+        key, "timeout", oldMetricsJson("Base-2L", "timeout", "stalled"),
+        "{}");
+    StoredRun out;
+    EXPECT_FALSE(ResultStore::recordFromJson(line, &out));
+    std::ofstream(shardFile(dir, key), std::ios::trunc) << line << "\n";
+
+    ResultStore store(dir);
+    EXPECT_EQ(store.size(), 0u);
+    EXPECT_FALSE(store.lookup(key, &out)) << "its cell re-runs on resume";
+
+    // The cell's next record replaces the dropped line on disk.
+    StoredRun rerun = sampleRun(key.hash);
+    store.put(rerun);
+    const std::string shard = readFile(shardFile(dir, key));
+    EXPECT_EQ(shard, ResultStore::recordToJson(rerun) + "\n");
 }
 
 TEST(RunKeys, StableAndSensitiveToInputs)

@@ -13,18 +13,13 @@
  * Environment:
  *   D2M_STORE_DIR       durable result store; enables resume
  *   D2M_RESUME=0        re-execute everything despite the store
- *   D2M_RUN_TIMEOUT     per-run stall timeout, seconds (0 = off)
- *   D2M_RUN_RETRIES     extra attempts per failed/stalled cell
  *   D2M_STATS_JSON      combined stats document (byte-identical
  *                       whether or not the campaign was interrupted)
- *   D2M_PROGRESS_JSON   live campaign status records, one JSON per
- *                       line (plus a TTY status line on stderr);
- *                       D2M_PROGRESS_SEC sets the period (default 2)
  *   D2M_CONFIG_FILTER / D2M_SUITE_FILTER / D2M_BENCH_FILTER /
  *   D2M_INSTS_PER_CORE / D2M_SEED / D2M_JOBS / D2M_QUIET as usual.
  *
- * Exit code: 0 all cells ok, 2 some cells failed or timed out,
- * 3 interrupted (drained) before the grid completed.
+ * Each cell runs once. Exit code: 0 all cells ok, 2 some cells
+ * failed, 3 interrupted (drained) before the grid completed.
  *
  * Test knobs (used by tests/ and CI to exercise crash paths):
  *   D2M_CAMPAIGN_KILL_AFTER=N    SIGKILL self when the N-th cell starts
@@ -110,12 +105,11 @@ main(int argc, char **argv)
     const char *failBench = std::getenv("D2M_CAMPAIGN_FAIL_BENCH");
     if (killAfter || intAfter || failBench) {
         static std::atomic<std::uint64_t> started{0};
-        opts.preRunHook = [=](const NamedWorkload &wl, unsigned attempt) {
-            const std::uint64_t n =
-                attempt == 0 ? started.fetch_add(1) + 1 : started.load();
-            if (killAfter && attempt == 0 && n == killAfter)
+        opts.preRunHook = [=](const NamedWorkload &wl, unsigned) {
+            const std::uint64_t n = started.fetch_add(1) + 1;
+            if (killAfter && n == killAfter)
                 ::kill(::getpid(), SIGKILL);
-            if (intAfter && attempt == 0 && n == intAfter)
+            if (intAfter && n == intAfter)
                 std::raise(SIGINT);
             if (failBench && wl.name == failBench)
                 fatal("injected campaign failure for benchmark '%s'",
@@ -133,9 +127,9 @@ main(int argc, char **argv)
     const SweepOutcome &o = lastSweepOutcome();
     std::fprintf(stderr,
                  "d2m_campaign: %zu cells (%zu executed, %zu resumed): "
-                 "%zu ok, %zu failed, %zu timeout, %zu abandoned%s\n",
+                 "%zu ok, %zu failed, %zu abandoned%s\n",
                  o.total, o.executed, o.fromStore, o.ok, o.failed,
-                 o.timeout, o.abandoned,
+                 o.abandoned,
                  o.interrupted ? " [interrupted]" : "");
     return campaignExitCode(o);
 }
