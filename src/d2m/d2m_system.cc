@@ -1,6 +1,7 @@
 #include "d2m/d2m_system.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "obs/selfprof.hh"
@@ -137,8 +138,7 @@ D2mSystem::activeMdFor(NodeId node, std::uint64_t pregion,
     if (charge_energy)
         energy_.count(Structure::Md2);
     if (e2->activeInMd1) {
-        Md1Entry &e1 =
-            md1For(node, e2->md1SideI).at(e2->md1Set, e2->md1Way);
+        Md1Entry &e1 = trackedMd1(node, *e2);
         panic_if(!e1.valid || e1.pregion != pregion,
                  "MD2 tracking pointer names a stale MD1 entry");
         amd.md1 = &e1;
@@ -239,16 +239,12 @@ D2mSystem::lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
             // L1-kind LIs are flushed first since the LI encoding
             // cannot name the other side's L1.
             const bool old_side = e2->md1SideI;
-            Md1Entry &e1 = md1For(node, old_side).at(e2->md1Set,
-                                                     e2->md1Way);
-            TaglessCache &old_l1 = l1For(node, old_side);
+            Md1Entry &e1 = trackedMd1(node, *e2);
             for (unsigned i = 0; i < params_.regionLines; ++i) {
                 if (e1.li[i].kind == LiKind::L1) {
-                    const Addr la =
-                        (pregion << regionLinesLog_) | i;
-                    const std::uint32_t set =
-                        old_l1.setFor(la, e1.scramble);
-                    evictL1Slot(node, old_side, set, e1.li[i].way);
+                    evictLocal(node, /*in_l1=*/true,
+                               slotAt(node, old_side, e1.li[i],
+                                      regionLine(pregion, i), e1.scramble));
                 }
             }
             evictMd1Entry(node, old_side, e1);
@@ -335,47 +331,21 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
             ++events_.privateToShared;
             obs::traceEvent(obs::TraceKind::RegionClass, node, pregion,
                             /*shared=*/1, /*was_shared=*/0);
-            NodeId owner = 0;
-            while (!((e3->pb >> owner) & 1))
-                ++owner;
+            const NodeId owner = std::countr_zero(e3->pb);
             noc_.send(farSide(), owner, MsgType::GetMD);
             ActiveMd amd_o = activeMdFor(owner, pregion);
             panic_if(!amd_o.tracked(), "PB bit without MD2 entry");
             setPrivate(amd_o, false);
-            // Convert owner-local LIs to globally meaningful ones.
+            // Convert owner-local LIs to globally meaningful ones: a
+            // local master means "in node owner", otherwise the chain
+            // ends at the master.
             for (unsigned i = 0; i < params_.regionLines; ++i) {
-                const Addr la = (pregion << regionLinesLog_) | i;
-                LocationInfo li = amd_o.li()[i];
-                LocationInfo global = li;
-                // Walk the owner's local chain; a local master means
-                // "in node owner", a replica chain ends at the master.
                 bool local_master = false;
-                while (liIsLocal(owner, li, la, amd_o.scramble())) {
-                    TaglessLine *slot = nullptr;
-                    if (li.kind == LiKind::L1) {
-                        TaglessCache &l1 = l1For(owner, amd_o.sideI());
-                        slot = &l1.at(l1.setFor(la, amd_o.scramble()),
-                                      li.way);
-                    } else if (li.kind == LiKind::L2) {
-                        slot = &nodes_[owner].l2->at(
-                            nodes_[owner].l2->setFor(la, amd_o.scramble()),
-                            li.way);
-                    } else {
-                        std::uint32_t set = 0;
-                        slot = &llcAt(li, la, amd_o.scramble(), &set);
-                    }
-                    if (slot->master) {
-                        local_master = true;
-                        break;
-                    }
-                    li = slot->rp;
-                }
-                if (local_master) {
-                    global = LocationInfo::inNode(owner);
-                } else {
-                    global = li;
-                }
-                e3->li[i] = global;
+                const LocationInfo end = walkLocal(
+                    owner, amd_o.sideI(), amd_o.li()[i],
+                    regionLine(pregion, i), amd_o.scramble(),
+                    [&](TaglessLine &slot) { local_master |= slot.master; });
+                e3->li[i] = local_master ? LocationInfo::inNode(owner) : end;
             }
             noc_.send(owner, farSide(), MsgType::MDReply);
             lat += 2 * params_.lat.nocHop + params_.lat.md2;
@@ -401,10 +371,7 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
     // (Section II-A).
     NodeCtx &ctx = nodes_[node];
     auto cost2 = [this, node](const Md2Entry &e) {
-        const LiVector &lis =
-            e.activeInMd1
-                ? md1For(node, e.md1SideI).at(e.md1Set, e.md1Way).li
-                : e.li;
+        const LiVector &lis = e.activeInMd1 ? trackedMd1(node, e).li : e.li;
         unsigned local = 0;
         for (unsigned i = 0; i < params_.regionLines; ++i) {
             if (lis[i].isLocalCache())
@@ -443,6 +410,21 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
 // Local copy chains
 // ===================================================================
 
+TaglessLine &
+D2mSystem::slotAt(NodeId node, bool side_i, const LocationInfo &li,
+                  Addr line_addr, std::uint32_t scramble)
+{
+    TaglessCache *arr = nullptr;
+    switch (li.kind) {
+      case LiKind::L1: arr = &l1For(node, side_i); break;
+      case LiKind::L2: arr = nodes_[node].l2.get(); break;
+      case LiKind::Llc: arr = llc_[li.node].get(); break;
+      default:
+        panic("LI kind %d names no data slot", static_cast<int>(li.kind));
+    }
+    return arr->at(arr->setFor(line_addr, scramble), li.way);
+}
+
 bool
 D2mSystem::liIsLocal(NodeId node, const LocationInfo &li, Addr line_addr,
                      std::uint32_t scramble)
@@ -454,8 +436,8 @@ D2mSystem::liIsLocal(NodeId node, const LocationInfo &li, Addr line_addr,
       case LiKind::Llc: {
         if (!nearSide_ || li.node != node)
             return false;
-        std::uint32_t set = 0;
-        TaglessLine &slot = llcAt(li, line_addr, scramble, &set);
+        const TaglessLine &slot =
+            slotAt(node, /*side_i=*/false, li, line_addr, scramble);
         return slot.valid && slot.lineAddr == line_addr && !slot.master &&
                slot.ownerNode == node;
       }
@@ -464,37 +446,37 @@ D2mSystem::liIsLocal(NodeId node, const LocationInfo &li, Addr line_addr,
     }
 }
 
+template <typename Fn>
+LocationInfo
+D2mSystem::walkLocal(NodeId node, bool side_i, LocationInfo li,
+                     Addr line_addr, std::uint32_t scramble, Fn &&fn)
+{
+    while (liIsLocal(node, li, line_addr, scramble)) {
+        TaglessLine &slot = slotAt(node, side_i, li, line_addr, scramble);
+        panic_if(!slot.valid || slot.lineAddr != line_addr,
+                 "local chain determinism violated");
+        li = slot.rp;
+        fn(slot);
+    }
+    return li;
+}
+
 D2mSystem::DropResult
 D2mSystem::dropLocalCopies(NodeId node, ActiveMd &md, unsigned line_idx,
                            Addr line_addr)
 {
     DropResult result;
-    while (true) {
-        LocationInfo li = md.li()[line_idx];
-        if (!liIsLocal(node, li, line_addr, md.scramble()))
-            break;
-        TaglessLine *slot = nullptr;
-        if (li.kind == LiKind::L1) {
-            TaglessCache &l1 = l1For(node, md.sideI());
-            slot = &l1.at(l1.setFor(line_addr, md.scramble()), li.way);
-        } else if (li.kind == LiKind::L2) {
-            slot = &nodes_[node].l2->at(
-                nodes_[node].l2->setFor(line_addr, md.scramble()), li.way);
-        } else {
-            std::uint32_t set = 0;
-            slot = &llcAt(li, line_addr, md.scramble(), &set);
-        }
-        panic_if(!slot->valid || slot->lineAddr != line_addr,
-                 "LI chain determinism violated");
-        result.droppedAny = true;
-        if (slot->master) {
-            result.droppedMaster = true;
-            result.masterValue = slot->value;
-            result.masterDirty = slot->dirty;
-        }
-        md.li()[line_idx] = slot->rp;
-        slot->invalidate();
-    }
+    md.li()[line_idx] = walkLocal(
+        node, md.sideI(), md.li()[line_idx], line_addr, md.scramble(),
+        [&](TaglessLine &slot) {
+            result.droppedAny = true;
+            if (slot.master) {
+                result.droppedMaster = true;
+                result.masterValue = slot.value;
+                result.masterDirty = slot.dirty;
+            }
+            slot.invalidate();
+        });
     return result;
 }
 
@@ -503,48 +485,26 @@ D2mSystem::readLocalValue(NodeId node, ActiveMd &md, unsigned line_idx,
                           Addr line_addr, Cycles &lat)
 {
     const LocationInfo li = md.li()[line_idx];
-    if (li.kind == LiKind::L1) {
-        TaglessCache &l1 = l1For(node, md.sideI());
-        TaglessLine &slot =
-            l1.at(l1.setFor(line_addr, md.scramble()), li.way);
-        panic_if(!slot.valid || slot.lineAddr != line_addr,
-                 "LI determinism violated (L1)");
+    const TaglessLine &slot =
+        slotAt(node, md.sideI(), li, line_addr, md.scramble());
+    panic_if(!slot.valid || slot.lineAddr != line_addr,
+             "LI determinism violated (LI kind %d)",
+             static_cast<int>(li.kind));
+    switch (li.kind) {
+      case LiKind::L1:
         energy_.count(Structure::L1Data);
         lat += params_.lat.l1Hit;
-        return slot.value;
-    }
-    if (li.kind == LiKind::L2) {
-        TaglessCache &l2 = *nodes_[node].l2;
-        TaglessLine &slot =
-            l2.at(l2.setFor(line_addr, md.scramble()), li.way);
-        panic_if(!slot.valid || slot.lineAddr != line_addr,
-                 "LI determinism violated (L2)");
+        break;
+      case LiKind::L2:
         energy_.count(Structure::L2Data);
         lat += params_.lat.l2;
-        return slot.value;
-    }
-    if (li.kind == LiKind::Llc) {
-        std::uint32_t set = 0;
-        TaglessLine &slot = llcAt(li, line_addr, md.scramble(), &set);
-        panic_if(!slot.valid || slot.lineAddr != line_addr,
-                 "LI determinism violated (LLC)");
+        break;
+      default:
         energy_.count(Structure::LlcData);
         lat += params_.lat.llc;
-        return slot.value;
+        break;
     }
-    panic("readLocalValue on a non-local LI");
-}
-
-TaglessLine &
-D2mSystem::llcAt(const LocationInfo &li, Addr line_addr,
-                 std::uint32_t scramble, std::uint32_t *set_out)
-{
-    panic_if(li.kind != LiKind::Llc, "llcAt on a non-LLC LI");
-    TaglessCache &slice = *llc_[li.node];
-    const std::uint32_t set = slice.setFor(line_addr, scramble);
-    if (set_out)
-        *set_out = set;
-    return slice.at(set, li.way);
+    return slot.value;
 }
 
 // ===================================================================
@@ -586,20 +546,12 @@ D2mSystem::evictLlcSlot(std::uint32_t slice, std::uint32_t set,
         LocationInfo li = amd.li()[idx];
         if (li == here) {
             amd.li()[idx] = slot.rp;
-        } else if (li.kind == LiKind::L1 || li.kind == LiKind::L2) {
-            TaglessLine *holder = nullptr;
-            if (li.kind == LiKind::L1) {
-                TaglessCache &l1 = l1For(owner, amd.sideI());
-                holder = &l1.at(l1.setFor(line_addr, amd.scramble()),
-                                li.way);
-            } else {
-                holder = &nodes_[owner].l2->at(
-                    nodes_[owner].l2->setFor(line_addr, amd.scramble()),
-                    li.way);
-            }
-            if (holder->valid && holder->lineAddr == line_addr &&
-                holder->rp == here) {
-                holder->rp = slot.rp;
+        } else if (li.isLocalCache()) {
+            TaglessLine &holder =
+                slotAt(owner, amd.sideI(), li, line_addr, amd.scramble());
+            if (holder.valid && holder.lineAddr == line_addr &&
+                holder.rp == here) {
+                holder.rp = slot.rp;
             }
         }
         slot.invalidate();
@@ -625,9 +577,7 @@ D2mSystem::evictLlcSlot(std::uint32_t slice, std::uint32_t set,
         e3->li[idx] = new_loc;
         break;
       case RegionClass::Private: {
-        NodeId owner = 0;
-        while (!((e3->pb >> owner) & 1))
-            ++owner;
+        const NodeId owner = std::countr_zero(e3->pb);
         noc_.send(farSide(), owner, MsgType::NewMaster);
         newMasterAtNode(owner, pregion, idx, line_addr, new_loc);
         // The owner may still treat the region as shared (the private
@@ -659,39 +609,19 @@ D2mSystem::newMasterAtNode(NodeId n, std::uint64_t pregion,
 {
     ActiveMd amd = activeMdFor(n, pregion);
     panic_if(!amd.tracked(), "NewMaster for an untracked region");
-    // Walk the node's local chain; the final pointer (LI or the
-    // outermost local copy's RP) names the master (footnote 13).
-    LocationInfo li = amd.li()[line_idx];
-    if (!liIsLocal(n, li, line_addr, amd.scramble())) {
+    // Repoint the pointer that ends the node's local chain: the LI, or
+    // the RP of its last local copy.
+    TaglessLine *last = nullptr;
+    walkLocal(n, amd.sideI(), amd.li()[line_idx], line_addr, amd.scramble(),
+              [&](TaglessLine &slot) { last = &slot; });
+    if (!last) {
         amd.li()[line_idx] = new_loc;
-        return;
+    } else if (!last->master) {
+        // A local master has nothing to repoint. (That happens when the
+        // notification races with a local copy that was promoted; with
+        // atomic transactions it should not occur.)
+        last->rp = new_loc;
     }
-    TaglessLine *holder = nullptr;
-    while (true) {
-        if (li.kind == LiKind::L1) {
-            TaglessCache &l1 = l1For(n, amd.sideI());
-            holder = &l1.at(l1.setFor(line_addr, amd.scramble()), li.way);
-        } else if (li.kind == LiKind::L2) {
-            holder = &nodes_[n].l2->at(
-                nodes_[n].l2->setFor(line_addr, amd.scramble()), li.way);
-        } else {
-            std::uint32_t set = 0;
-            holder = &llcAt(li, line_addr, amd.scramble(), &set);
-        }
-        panic_if(!holder->valid || holder->lineAddr != line_addr,
-                 "local chain determinism violated");
-        if (holder->master) {
-            // The node holds the master itself; nothing to repoint.
-            // (Happens when the notification races with a local copy
-            // that was promoted; with atomic transactions it should
-            // not occur.)
-            return;
-        }
-        if (!liIsLocal(n, holder->rp, line_addr, amd.scramble()))
-            break;
-        li = holder->rp;
-    }
-    holder->rp = new_loc;
 }
 
 bool
@@ -722,8 +652,7 @@ D2mSystem::maybePrune(NodeId n, std::uint64_t pregion, Md3Entry &e3)
     if (!e2 || e2->activeInMd1)
         return;  // MD1 active: keep (paper's heuristic condition)
     for (unsigned i = 0; i < params_.regionLines; ++i) {
-        const Addr la = (pregion << regionLinesLog_) | i;
-        if (liIsLocal(n, e2->li[i], la, e2->scramble))
+        if (liIsLocal(n, e2->li[i], regionLine(pregion, i), e2->scramble))
             return;  // still holds local copies
     }
     // Drop the entry and notify MD3 so the PB bit clears.
@@ -746,16 +675,13 @@ D2mSystem::masterEvicted(NodeId node, TaglessLine &line)
     // Case E/F: relocate the master to its victim location.
     const LocationInfo new_loc =
         allocateVictimInLlc(node, line_addr, amd.scramble());
-    std::uint32_t set = 0;
-    TaglessLine &slot = llcAt(new_loc, line_addr, amd.scramble(), &set);
-    slot.valid = true;
-    slot.lineAddr = line_addr;
-    slot.value = line.value;
-    slot.dirty = line.dirty;
-    slot.master = true;
-    slot.ownerNode = invalidNode;
-    slot.rp = LocationInfo::mem();
-    llc_[new_loc.node]->markInstalled(set, new_loc.way);
+    TaglessCache &slice = *llc_[new_loc.node];
+    slice.install(slice.setFor(line_addr, amd.scramble()), new_loc.way,
+                  {.valid = true,
+                   .lineAddr = line_addr,
+                   .value = line.value,
+                   .dirty = line.dirty,
+                   .master = true});
     energy_.count(Structure::LlcData);
     noc_.send(node, sliceEndpoint(new_loc.node), MsgType::WritebackData);
 
@@ -786,79 +712,39 @@ D2mSystem::masterEvicted(NodeId node, TaglessLine &line)
 }
 
 void
-D2mSystem::evictL1Slot(NodeId node, bool side_i, std::uint32_t set,
-                       std::uint32_t way)
+D2mSystem::evictLocal(NodeId node, bool in_l1, TaglessLine &line)
 {
-    TaglessCache &l1 = l1For(node, side_i);
-    TaglessLine &line = l1.at(set, way);
     if (!line.valid)
         return;
-    const std::uint64_t pregion = regionOf(line.lineAddr);
     const unsigned idx = lineIdxOf(line.lineAddr);
     // Following the line's TP to the active MD entry costs an MD2
     // access and possibly an MD1 access (Section III-B example).
-    ActiveMd amd = activeMdFor(node, pregion);
-    panic_if(!amd.tracked(), "L1 line in an untracked region");
+    ActiveMd amd = activeMdFor(node, regionOf(line.lineAddr));
+    panic_if(!amd.tracked(), "local line in an untracked region");
 
-    if (!line.master) {
-        if (line.rp.isMem()) {
-            // The only cached copy of a memory-mastered line: give it
-            // a victim location instead of dropping it, becoming the
-            // new master (the paper allocates victim locations for L1
-            // cachelines too, Section III-B). Shared regions serialize
-            // the master change through MD3 (case F); a racing sharer
-            // sees its RP repointed and drops silently later.
-            masterEvicted(node, line);
-            line.invalidate();
-            return;
-        }
+    if (!line.master && !line.rp.isMem()) {
         // Replicated lines replace silently; the LI falls back to the
         // RP (the master location, or a local NS replica).
         amd.li()[idx] = line.rp;
-        line.invalidate();
-        return;
-    }
-
-    if (nodes_[node].l2) {
+    } else if (line.master && in_l1 && nodes_[node].l2) {
         // A private L2 absorbs L1 master victims: a purely local move
         // (remote nodes track masters by NodeID only).
         TaglessCache &l2 = *nodes_[node].l2;
-        const std::uint32_t l2set =
-            l2.setFor(line.lineAddr, amd.scramble());
-        const std::uint32_t l2way = l2.victimWay(l2set);
-        evictL2Slot(node, l2set, l2way);
-        TaglessLine &slot = l2.at(l2set, l2way);
-        slot = line;
-        l2.markInstalled(l2set, l2way);
+        const std::uint32_t set = l2.setFor(line.lineAddr, amd.scramble());
+        const std::uint32_t way = l2.victimWay(set);
+        evictLocal(node, /*in_l1=*/false, l2.at(set, way));
+        l2.install(set, way, line);
         energy_.count(Structure::L2Data);
-        amd.li()[idx] = LocationInfo::inL2(l2way);
-        line.invalidate();
-        return;
+        amd.li()[idx] = LocationInfo::inL2(way);
+    } else {
+        // Masters, and the only cached copy of a memory-mastered line:
+        // give it a victim location instead of dropping it, becoming
+        // the new master (the paper allocates victim locations for L1
+        // cachelines too, Section III-B). Shared regions serialize the
+        // master change through MD3 (case F); a racing sharer sees its
+        // RP repointed and drops silently later.
+        masterEvicted(node, line);
     }
-
-    masterEvicted(node, line);
-    line.invalidate();
-}
-
-void
-D2mSystem::evictL2Slot(NodeId node, std::uint32_t set, std::uint32_t way)
-{
-    TaglessCache &l2 = *nodes_[node].l2;
-    TaglessLine &line = l2.at(set, way);
-    if (!line.valid)
-        return;
-    const std::uint64_t pregion = regionOf(line.lineAddr);
-    const unsigned idx = lineIdxOf(line.lineAddr);
-    ActiveMd amd = activeMdFor(node, pregion);
-    panic_if(!amd.tracked(), "L2 line in an untracked region");
-    if (!line.master && !line.rp.isMem()) {
-        amd.li()[idx] = line.rp;
-        line.invalidate();
-        return;
-    }
-    // Masters, and memory-mastered replicas being promoted (see
-    // evictL1Slot), move to a victim location.
-    masterEvicted(node, line);
     line.invalidate();
 }
 
@@ -872,26 +758,19 @@ D2mSystem::nodeRegionEvict(NodeId node, std::uint64_t pregion)
     panic_if(!amd.tracked(), "evicting an untracked region");
 
     // Flush every local copy the region tracks (metadata inclusion).
+    // Each eviction rewrites the LI, so it is re-read after every step.
     for (unsigned idx = 0; idx < params_.regionLines; ++idx) {
-        const Addr la = (pregion << regionLinesLog_) | idx;
-        while (true) {
-            const LocationInfo li = amd.li()[idx];
-            if (!liIsLocal(node, li, la, amd.scramble()))
-                break;
-            if (li.kind == LiKind::L1) {
-                TaglessCache &l1 = l1For(node, amd.sideI());
-                evictL1Slot(node, amd.sideI(),
-                            l1.setFor(la, amd.scramble()), li.way);
-            } else if (li.kind == LiKind::L2) {
-                evictL2Slot(node, nodes_[node].l2->setFor(la,
-                                                          amd.scramble()),
-                            li.way);
-            } else {
+        const Addr la = regionLine(pregion, idx);
+        for (LocationInfo li = amd.li()[idx];
+             liIsLocal(node, li, la, amd.scramble()); li = amd.li()[idx]) {
+            TaglessLine &slot =
+                slotAt(node, amd.sideI(), li, la, amd.scramble());
+            if (li.kind == LiKind::Llc) {
                 // Own-slice replica: drop it, LI falls back to its RP.
-                std::uint32_t set = 0;
-                TaglessLine &slot = llcAt(li, la, amd.scramble(), &set);
                 amd.li()[idx] = slot.rp;
                 slot.invalidate();
+            } else {
+                evictLocal(node, li.kind == LiKind::L1, slot);
             }
         }
     }
@@ -923,55 +802,18 @@ D2mSystem::flushNodeRegion(NodeId node, std::uint64_t pregion)
     if (!amd.tracked())
         return;
     for (unsigned idx = 0; idx < params_.regionLines; ++idx) {
-        const Addr la = (pregion << regionLinesLog_) | idx;
+        const Addr la = regionLine(pregion, idx);
         // Drop the local chain; dirty masters go straight to memory.
-        std::uint64_t master_value = 0;
-        bool had_master = false;
-        bool master_dirty = false;
-        while (true) {
-            const LocationInfo li = amd.li()[idx];
-            if (!liIsLocal(node, li, la, amd.scramble()))
-                break;
-            TaglessLine *slot = nullptr;
-            if (li.kind == LiKind::L1) {
-                TaglessCache &l1 = l1For(node, amd.sideI());
-                slot = &l1.at(l1.setFor(la, amd.scramble()), li.way);
-            } else if (li.kind == LiKind::L2) {
-                slot = &nodes_[node].l2->at(
-                    nodes_[node].l2->setFor(la, amd.scramble()), li.way);
-            } else {
-                std::uint32_t set = 0;
-                slot = &llcAt(li, la, amd.scramble(), &set);
-            }
-            if (slot->master) {
-                had_master = true;
-                master_dirty = slot->dirty;
-                master_value = slot->value;
-            }
-            amd.li()[idx] = slot->rp;
-            slot->invalidate();
-        }
-        if (had_master && master_dirty) {
-            memory_.write(la, master_value);
+        const DropResult dropped = dropLocalCopies(node, amd, idx, la);
+        if (dropped.droppedMaster && dropped.masterDirty) {
+            memory_.write(la, dropped.masterValue);
             noc_.send(node, farSide(), MsgType::WritebackData);
         }
         // Private regions may track LLC masters only through the
         // owner's LIs: flush those too (the region is dying).
-        if (amd.privateBit()) {
-            const LocationInfo li = amd.li()[idx];
-            if (li.kind == LiKind::Llc) {
-                std::uint32_t set = 0;
-                TaglessLine &slot = llcAt(li, la, amd.scramble(), &set);
-                if (slot.valid && slot.lineAddr == la) {
-                    if (slot.dirty) {
-                        memory_.write(la, slot.value);
-                        noc_.send(sliceEndpoint(li.node), farSide(),
-                                  MsgType::MemWrite);
-                    }
-                    slot.invalidate();
-                }
-                amd.li()[idx] = LocationInfo::mem();
-            }
+        if (amd.privateBit() && amd.li()[idx].kind == LiKind::Llc) {
+            dropLlcLine(amd.li()[idx], la, amd.scramble());
+            amd.li()[idx] = LocationInfo::mem();
         }
     }
     if (amd.md1)
@@ -997,22 +839,25 @@ D2mSystem::globalMd3Evict(Md3Entry &e3)
     }
     // ...then the LLC lines MD3 itself tracks (shared/untracked).
     for (unsigned idx = 0; idx < params_.regionLines; ++idx) {
-        const LocationInfo li = e3.li[idx];
-        if (li.kind != LiKind::Llc)
-            continue;
-        const Addr la = (pregion << regionLinesLog_) | idx;
-        std::uint32_t set = 0;
-        TaglessLine &slot = llcAt(li, la, e3.scramble, &set);
-        if (slot.valid && slot.lineAddr == la) {
-            if (slot.dirty) {
-                memory_.write(la, slot.value);
-                noc_.send(sliceEndpoint(li.node), farSide(),
-                          MsgType::MemWrite);
-            }
-            slot.invalidate();
-        }
+        if (e3.li[idx].kind == LiKind::Llc)
+            dropLlcLine(e3.li[idx], regionLine(pregion, idx), e3.scramble);
     }
     e3.valid = false;
+}
+
+void
+D2mSystem::dropLlcLine(const LocationInfo &li, Addr line_addr,
+                       std::uint32_t scramble)
+{
+    TaglessLine &slot =
+        slotAt(invalidNode, /*side_i=*/false, li, line_addr, scramble);
+    if (!slot.valid || slot.lineAddr != line_addr)
+        return;
+    if (slot.dirty) {
+        memory_.write(line_addr, slot.value);
+        noc_.send(sliceEndpoint(li.node), farSide(), MsgType::MemWrite);
+    }
+    slot.invalidate();
 }
 
 // ===================================================================
@@ -1037,13 +882,13 @@ D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
         const std::uint32_t slice = master.node;
         const std::uint32_t ep = sliceEndpoint(slice);
         lat += noc_.send(node, ep, MsgType::ReadReq);
-        std::uint32_t set = 0;
         // The region's scramble governs LLC indexing; all trackers of
         // the region share it via their metadata.
         std::uint32_t scramble = 0;
         if (Md3Entry *e3 = md3_->probe(pregion))
             scramble = e3->scramble;
-        TaglessLine &slot = llcAt(master, line_addr, scramble, &set);
+        const std::uint32_t set = llc_[slice]->setFor(line_addr, scramble);
+        TaglessLine &slot = llc_[slice]->at(set, master.way);
         panic_if(!slot.valid || slot.lineAddr != line_addr,
                  "deterministic LI violated at LLC: line 0x%llx wanted at "
                  "slice %u set %u way %u; slot valid=%d holds 0x%llx "
@@ -1102,27 +947,11 @@ D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
         } else {
             // The requester installs a replica: the remote master
             // loses exclusivity (M/E -> O/F).
-            LocationInfo li_r = amd_r.li()[idx];
-            while (liIsLocal(r, li_r, line_addr, amd_r.scramble())) {
-                TaglessLine *slot = nullptr;
-                if (li_r.kind == LiKind::L1) {
-                    TaglessCache &l1 = l1For(r, amd_r.sideI());
-                    slot = &l1.at(l1.setFor(line_addr, amd_r.scramble()),
-                                  li_r.way);
-                } else if (li_r.kind == LiKind::L2) {
-                    slot = &nodes_[r].l2->at(
-                        nodes_[r].l2->setFor(line_addr, amd_r.scramble()),
-                        li_r.way);
-                } else {
-                    std::uint32_t st = 0;
-                    slot = &llcAt(li_r, line_addr, amd_r.scramble(), &st);
-                }
-                if (slot->master) {
-                    slot->exclusive = false;
-                    break;
-                }
-                li_r = slot->rp;
-            }
+            walkLocal(r, amd_r.sideI(), amd_r.li()[idx], line_addr,
+                      amd_r.scramble(), [](TaglessLine &slot) {
+                          if (slot.master)
+                              slot.exclusive = false;
+                      });
         }
         level = ServiceLevel::REMOTE;
         lat += noc_.send(r, node, MsgType::DataResp);
@@ -1213,15 +1042,12 @@ D2mSystem::replicateToLocalSlice(NodeId node, Addr line_addr,
     const std::uint32_t set = arr.setFor(line_addr, scramble);
     const std::uint32_t way = arr.victimWay(set);
     evictLlcSlot(node, set, way);
-    TaglessLine &slot = arr.at(set, way);
-    slot.valid = true;
-    slot.lineAddr = line_addr;
-    slot.value = value;
-    slot.dirty = false;
-    slot.master = false;
-    slot.ownerNode = node;
-    slot.rp = master;
-    arr.markInstalled(set, way);
+    arr.install(set, way,
+                {.valid = true,
+                 .lineAddr = line_addr,
+                 .value = value,
+                 .rp = master,
+                 .ownerNode = node});
     energy_.count(Structure::LlcData);
     placement_.recordReplacement(node);
     if (is_ifetch)
@@ -1241,17 +1067,15 @@ D2mSystem::installL1(NodeId node, bool side_i, Addr line_addr,
     TaglessCache &l1 = l1For(node, side_i);
     const std::uint32_t set = l1.setFor(line_addr, scramble);
     const std::uint32_t way = l1.victimWay(set);
-    evictL1Slot(node, side_i, set, way);
-    TaglessLine &slot = l1.at(set, way);
-    slot.valid = true;
-    slot.lineAddr = line_addr;
-    slot.value = value;
-    slot.dirty = dirty;
-    slot.master = master;
-    slot.exclusive = master && exclusive;
-    slot.ownerNode = invalidNode;
-    slot.rp = rp;
-    l1.markInstalled(set, way);
+    evictLocal(node, /*in_l1=*/true, l1.at(set, way));
+    l1.install(set, way,
+               {.valid = true,
+                .lineAddr = line_addr,
+                .value = value,
+                .dirty = dirty,
+                .master = master,
+                .exclusive = master && exclusive,
+                .rp = rp});
     energy_.count(Structure::L1Data);
     return way;
 }
@@ -1337,6 +1161,9 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                 slot.exclusive = true;
             } else {
                 // Replica: obtain exclusivity, then become master.
+                const auto drop_replica = [](TaglessLine &rep) {
+                    rep.invalidate();
+                };
                 if (md.privateBit()) {
                     // Private region: consume the master directly
                     // (case B, hit flavor).
@@ -1344,15 +1171,10 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                     ++events_.directAccesses;
                     obs::traceEvent(obs::TraceKind::CohUpgrade, node,
                                     line_addr, /*proto_case=*/'B');
-                    LocationInfo m = slot.rp;
                     // Chained local NS replica? Drop it first.
-                    while (liIsLocal(node, m, line_addr, md.scramble())) {
-                        std::uint32_t s2 = 0;
-                        TaglessLine &rep =
-                            llcAt(m, line_addr, md.scramble(), &s2);
-                        m = rep.rp;
-                        rep.invalidate();
-                    }
+                    const LocationInfo m =
+                        walkLocal(node, side_i, slot.rp, line_addr,
+                                  md.scramble(), drop_replica);
                     if (m.kind == LiKind::Llc) {
                         ServiceLevel lvl;
                         bool mru;
@@ -1367,14 +1189,8 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                 } else {
                     caseC(node, md, pregion, line_addr, lat);
                     // Drop a chained local NS replica (now stale).
-                    LocationInfo m = slot.rp;
-                    while (liIsLocal(node, m, line_addr, md.scramble())) {
-                        std::uint32_t s2 = 0;
-                        TaglessLine &rep =
-                            llcAt(m, line_addr, md.scramble(), &s2);
-                        m = rep.rp;
-                        rep.invalidate();
-                    }
+                    walkLocal(node, side_i, slot.rp, line_addr,
+                              md.scramble(), drop_replica);
                 }
                 slot.master = true;
                 slot.exclusive = true;
@@ -1424,9 +1240,8 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
 
         if (li.kind == LiKind::L2) {
             // Local move L2 -> L1: no metadata coherence required.
-            TaglessCache &l2 = *nodes_[node].l2;
-            const std::uint32_t set = l2.setFor(line_addr, md.scramble());
-            TaglessLine &slot = l2.at(set, li.way);
+            TaglessLine &slot =
+                slotAt(node, side_i, li, line_addr, md.scramble());
             panic_if(!slot.valid || slot.lineAddr != line_addr,
                      "deterministic LI violated at L2");
             energy_.count(Structure::L2Data);
@@ -1496,9 +1311,8 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                 rp = replicateToLocalSlice(node, line_addr, md.scramble(),
                                            value, master_now, side_i);
             }
-            l1For(node, side_i).at(
-                l1For(node, side_i).setFor(line_addr, md.scramble()),
-                way).rp = rp;
+            slotAt(node, side_i, LocationInfo::inL1(way), line_addr,
+                   md.scramble()).rp = rp;
         }
         md.li()[idx] = LocationInfo::inL1(way);
     } else {

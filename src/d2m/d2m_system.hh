@@ -116,6 +116,11 @@ class D2mSystem : public MemorySystem
     {
         return static_cast<unsigned>(line_addr & (params_.regionLines - 1));
     }
+    /** Line address of line @p idx of region @p pregion. */
+    Addr regionLine(std::uint64_t pregion, unsigned idx) const
+    {
+        return (pregion << regionLinesLog_) | idx;
+    }
     std::uint64_t md1Key(AsId asid, Addr vaddr) const
     {
         return (std::uint64_t(asid) << 44) ^ (vaddr >> regionShift_);
@@ -132,6 +137,15 @@ class D2mSystem : public MemorySystem
     const RegionStore<Md1Entry> &md1For(NodeId node, bool side_i) const
     {
         return side_i ? *nodes_[node].md1i : *nodes_[node].md1d;
+    }
+    /** The MD1 entry @p e2's tracking pointer names (activeInMd1). */
+    Md1Entry &trackedMd1(NodeId node, const Md2Entry &e2)
+    {
+        return md1For(node, e2.md1SideI).at(e2.md1Set, e2.md1Way);
+    }
+    const Md1Entry &trackedMd1(NodeId node, const Md2Entry &e2) const
+    {
+        return md1For(node, e2.md1SideI).at(e2.md1Set, e2.md1Way);
     }
     std::uint32_t sliceEndpoint(std::uint32_t slice) const
     {
@@ -174,6 +188,11 @@ class D2mSystem : public MemorySystem
     /** Drop a region from a node for an MD3 flush (masters to MEM). */
     void flushNodeRegion(NodeId node, std::uint64_t pregion);
 
+    /** Drop the LLC line @p li names if it still holds @p line_addr,
+     * writing it to memory when dirty. */
+    void dropLlcLine(const LocationInfo &li, Addr line_addr,
+                     std::uint32_t scramble);
+
     /** MD3 region lock (blocking mechanism; counted, never contended). */
     void lockRegion(std::uint64_t pregion);
 
@@ -207,12 +226,13 @@ class D2mSystem : public MemorySystem
                             const LocationInfo &rp,
                             bool exclusive = false);
 
-    /** Evict whatever occupies L1 (set, way) (cases E/F for masters). */
-    void evictL1Slot(NodeId node, bool side_i, std::uint32_t set,
-                     std::uint32_t way);
-
-    /** Evict whatever occupies L2 (set, way). */
-    void evictL2Slot(NodeId node, std::uint32_t set, std::uint32_t way);
+    /**
+     * Evict whatever occupies @p line, a slot of @p node's L1 or (when
+     * @p in_l1 is false) L2. A replica falls back to its RP, an L1
+     * master moves to the L2 when there is one, and anything else is
+     * relocated by masterEvicted() (cases E/F).
+     */
+    void evictLocal(NodeId node, bool in_l1, TaglessLine &line);
 
     /** Relocate an evicted master to a victim location (cases E/F). */
     void masterEvicted(NodeId node, TaglessLine &line);
@@ -273,9 +293,32 @@ class D2mSystem : public MemorySystem
     /** Periodic NS-LLC pressure exchange. */
     void pressureEpoch(Tick now);
 
-    /** LLC slot for a location-info pointer. */
-    TaglessLine &llcAt(const LocationInfo &li, Addr line_addr,
-                       std::uint32_t scramble, std::uint32_t *set_out);
+    /**
+     * The data slot an L1, L2 or LLC pointer names for @p line_addr:
+     * the only mapping from an LI to an array, a set and a way. @p node
+     * and @p side_i select the L1 or L2 (unused for an LLC LI, which
+     * names its slice). Panics on an LI that names no slot.
+     */
+    TaglessLine &slotAt(NodeId node, bool side_i, const LocationInfo &li,
+                        Addr line_addr, std::uint32_t scramble);
+    const TaglessLine &slotAt(NodeId node, bool side_i,
+                              const LocationInfo &li, Addr line_addr,
+                              std::uint32_t scramble) const
+    {
+        return const_cast<D2mSystem *>(this)->slotAt(node, side_i, li,
+                                                     line_addr, scramble);
+    }
+
+    /**
+     * Follow @p node's local copies of @p line_addr from @p li (footnote
+     * 13): while the pointer is local (liIsLocal()), resolve its slot,
+     * panic unless it holds the line, read its RP, then call
+     * @p fn(slot), which may invalidate it. @return the first non-local
+     * pointer, which names the master (MEM past a local master).
+     */
+    template <typename Fn>
+    LocationInfo walkLocal(NodeId node, bool side_i, LocationInfo li,
+                           Addr line_addr, std::uint32_t scramble, Fn &&fn);
 
     // ---- members -----------------------------------------------------
     unsigned lineShift_;

@@ -107,43 +107,31 @@ D2mSystem::checkInvariants(std::string &why) const
             // Resolve LIs and the private bit from the active entry
             // (the MD1 twin when the tracking pointer names one).
             const Md1Entry *e1 =
-                e2.activeInMd1
-                    ? &md1For(n, e2.md1SideI).at(e2.md1Set, e2.md1Way)
-                    : nullptr;
+                e2.activeInMd1 ? &trackedMd1(n, e2) : nullptr;
             const bool priv = e1 ? e1->privateBit : e2.privateBit;
             if (priv && popCountU64(e3->pb) != 1)
                 fail("private region with multiple PB bits");
             const LiVector &lis = e1 ? e1->li : e2.li;
             for (unsigned i = 0; i < params_.regionLines; ++i) {
-                const Addr la = (e2.key << regionLinesLog_) | i;
+                const Addr la = regionLine(e2.key, i);
                 LocationInfo li = lis[i];
                 if (li.isInvalid()) {
                     fail("invalid LI in node metadata");
                     continue;
                 }
-                // Walk the local chain checking determinism.
+                // Walk the chain like walkLocal(), but report a broken
+                // link instead of panicking, and also check the LLC
+                // master the chain ends at.
                 unsigned guard = 0;
                 while (guard++ < 8) {
-                    const TaglessLine *slot = nullptr;
-                    if (li.kind == LiKind::L1) {
-                        const TaglessCache &l1 = e2.md1SideI
-                                                     ? *ctx.l1i
-                                                     : *ctx.l1d;
-                        slot = &l1.at(l1.setFor(la, e2.scramble), li.way);
-                    } else if (li.kind == LiKind::L2) {
-                        if (!ctx.l2) {
-                            fail("L2 LI without an L2 cache");
-                            break;
-                        }
-                        slot = &ctx.l2->at(ctx.l2->setFor(la, e2.scramble),
-                                           li.way);
-                    } else if (li.kind == LiKind::Llc) {
-                        const TaglessCache &arr = *llc_[li.node];
-                        slot = &arr.at(arr.setFor(la, e2.scramble),
-                                       li.way);
-                    } else {
-                        break;  // Mem / Node: nothing to resolve here
+                    if (li.kind == LiKind::L2 && !ctx.l2) {
+                        fail("L2 LI without an L2 cache");
+                        break;
                     }
+                    if (!li.isLocalCache() && li.kind != LiKind::Llc)
+                        break;  // Mem / Node: nothing to resolve here
+                    const TaglessLine *slot =
+                        &slotAt(n, e2.md1SideI, li, la, e2.scramble);
                     if (!slot->valid || slot->lineAddr != la) {
                         fail("deterministic LI violated: node " +
                              std::to_string(n) + " line " +
@@ -204,10 +192,9 @@ D2mSystem::checkInvariants(std::string &why) const
             const LocationInfo li = e3.li[i];
             if (li.kind != LiKind::Llc)
                 continue;
-            const Addr la = (e3.key << regionLinesLog_) | i;
-            const TaglessCache &arr = *llc_[li.node];
+            const Addr la = regionLine(e3.key, i);
             const TaglessLine &slot =
-                arr.at(arr.setFor(la, e3.scramble), li.way);
+                slotAt(invalidNode, /*side_i=*/false, li, la, e3.scramble);
             if (!slot.valid || slot.lineAddr != la || !slot.master)
                 fail("MD3 LI does not resolve to an LLC master");
             else

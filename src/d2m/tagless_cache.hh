@@ -109,11 +109,12 @@ class TaglessCache : public SimObject
         stamps_[set * geom_.assoc() + way] = ++clock_;
     }
 
-    /** Stamp a slot freshly installed. */
+    /** Fill (set, way) with @p line as the most recently used slot. */
     void
-    markInstalled(std::uint32_t set, std::uint32_t way)
+    install(std::uint32_t set, std::uint32_t way, const TaglessLine &line)
     {
-        stamps_[set * geom_.assoc() + way] = ++clock_;
+        at(set, way) = line;
+        touch(set, way);
     }
 
     /** Choose a victim way in @p set (invalid ways first). */

@@ -9,15 +9,20 @@
  *   { "runs": [ { "config": ..., "suite": ..., "benchmark": ...,
  *                 "metrics": { ... }, "stats": { ... } }, ... ] }
  *
- * The file is rewritten after each run so it is valid JSON at every
- * point in time, even if the sweep is interrupted.
+ * The file is written once per runSweep() (after its pool drains, rows
+ * in grid order) and once per runOne(), each time with every row the
+ * process has collected so far. A drained sweep (first SIGINT/SIGTERM)
+ * still writes its finished rows. After a SIGKILL or a forced second
+ * signal the sweep's rows are lost from the document, but its finished
+ * cells are in the result store (D2M_STORE_DIR), and resuming the sweep
+ * rebuilds the document from it.
  */
 
 #ifndef D2M_HARNESS_RESULTS_JSON_HH
 #define D2M_HARNESS_RESULTS_JSON_HH
 
-#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "harness/metrics.hh"
 #include "obs/json.hh"
@@ -40,34 +45,6 @@ std::string metricsToJson(const Metrics &m);
  */
 bool metricsFromJson(const json::Value &v, Metrics *out);
 
-/** exportRunJson slot meaning "append after all reserved slots". */
-inline constexpr std::uint64_t kRunSlotAppend = ~std::uint64_t(0);
-
-/**
- * Reserve @p n consecutive output slots in the "runs" array and
- * return the first one. The sweep runner reserves one slot per run
- * up front (in serial order), then parallel jobs export into their
- * assigned slot — so the emitted document is identical no matter
- * which order jobs finish in.
- */
-std::uint64_t reserveRunSlots(std::size_t n);
-
-/**
- * Record one finished run. When D2M_STATS_JSON names a file, the run's
- * metrics row plus @p system's full statistics tree are added to it
- * (the accumulated document is rewritten atomically-enough for CI
- * consumption). When @p intervals is non-null its rows are embedded as
- * the run's "intervals" array. No-op when the variable is unset.
- *
- * @p slot orders the row within the document: pass a slot obtained
- * from reserveRunSlots() for deterministic ordering, or
- * kRunSlotAppend to place the row after everything reserved so far.
- * Thread-safe.
- */
-void exportRunJson(const Metrics &m, MemorySystem &system,
-                   const obs::StatSnapshotter *intervals = nullptr,
-                   std::uint64_t slot = kRunSlotAppend);
-
 /**
  * Build one complete "runs" array row (metrics + stats tree +
  * optional intervals) without touching the output document. The
@@ -86,12 +63,12 @@ std::string buildRunRow(const Metrics &m, MemorySystem &system,
 std::string buildFailureRow(const Metrics &m);
 
 /**
- * Insert a prebuilt row (from buildRunRow / buildFailureRow / the
- * result store) into the collected document at @p slot and rewrite
- * D2M_STATS_JSON. No-op when the variable is unset or @p row is
- * empty. Thread-safe.
+ * Append prebuilt rows (from buildRunRow / buildFailureRow / the
+ * result store), in order, to the process's collected document and
+ * write D2M_STATS_JSON once. Empty rows (cells that left none) are
+ * skipped. No-op when the variable is unset. Thread-safe.
  */
-void exportRowJson(std::string row, std::uint64_t slot = kRunSlotAppend);
+void exportRowsJson(std::vector<std::string> rows);
 
 /** The D2M_STATS_JSON path ("" when disabled). */
 const std::string &resultsJsonPath();

@@ -28,18 +28,20 @@ namespace
 /** Drain signals received (noteDrainSignal()); sweep cells poll it. */
 std::atomic<int> drainSignals{0};
 
+/** Sweep cells planned by this process so far. Numbers the per-run
+ * interval CSVs, so a later sweep never overwrites an earlier one's. */
+std::atomic<std::uint64_t> sweepCells{0};
+
 /** Per-run plumbing that the sweep drives but a single run doesn't. */
 struct RunContext
 {
-    /** Output slot in the D2M_STATS_JSON "runs" array. */
-    std::uint64_t slot = kRunSlotAppend;
     /** Suffix for per-job observability files ("" = plain names). */
     std::string obsSuffix;
     /** When non-null, messages buffer here instead of stderr so a
      * parallel job's output flushes as one contiguous block. */
     std::string *log = nullptr;
     /** When non-null, receives the verbatim stats row (for the
-     * durable result store). */
+     * D2M_STATS_JSON document and the durable result store). */
     std::string *rowOut = nullptr;
     /** Drain counter the run loop polls (null = not cancellable). */
     const std::atomic<int> *cancel = nullptr;
@@ -111,12 +113,8 @@ runOneImpl(ConfigKind kind, const NamedWorkload &wl,
         sp = "{\"wall\":" + selfprof->wallJson(run.measureWallSec) + "}";
         emit(ctx, selfprof->table(run.measureWallSec));
     }
-    std::string row;
-    if (ctx.rowOut || !resultsJsonPath().empty())
-        row = buildRunRow(m, *system, snapshotter.get(), sp);
-    exportRowJson(row, ctx.slot);
     if (ctx.rowOut)
-        *ctx.rowOut = std::move(row);
+        *ctx.rowOut = buildRunRow(m, *system, snapshotter.get(), sp);
     if (run.valueErrors || run.invariantErrors) {
         emit(ctx, vformat(
                  "ERROR: %s/%s on %s: %llu value errors, %llu "
@@ -297,7 +295,13 @@ campaignExitCode()
 Metrics
 runOne(ConfigKind kind, const NamedWorkload &wl, const SweepOptions &opts)
 {
-    return runOneImpl(kind, wl, opts, RunContext{});
+    RunContext ctx;
+    std::string row;
+    if (!resultsJsonPath().empty())
+        ctx.rowOut = &row;
+    Metrics m = runOneImpl(kind, wl, opts, ctx);
+    exportRowsJson({std::move(row)});
+    return m;
 }
 
 std::vector<Metrics>
@@ -327,10 +331,9 @@ runSweep(const std::vector<ConfigKind> &configs,
     };
     std::vector<JobSpec> specs;
     specs.reserve(configs.size() * workloads.size());
-    // Workload-major order, matching the historical serial loop: this
-    // order defines the output slots, so the rows (and the
-    // D2M_STATS_JSON document) come out identical however the jobs
-    // are scheduled.
+    // Workload-major order, matching the historical serial loop: the
+    // rows (and the D2M_STATS_JSON document) come out in this order
+    // however the jobs are scheduled.
     for (const auto &wl : workloads)
         for (ConfigKind kind : configs)
             specs.push_back({kind, &wl});
@@ -338,10 +341,14 @@ runSweep(const std::vector<ConfigKind> &configs,
     std::vector<Metrics> rows(specs.size());
     if (specs.empty())
         return rows;
-    const std::uint64_t baseSlot = reserveRunSlots(specs.size());
+    const std::uint64_t firstCell = sweepCells.fetch_add(specs.size());
 
     const bool resume = envU64("D2M_RESUME", 1) != 0;
     auto store = ResultStore::fromEnv();
+    // Each cell's document row (resumed, ok or failed; an abandoned
+    // cell leaves none), written once after the pool drains.
+    std::vector<std::string> docRows(specs.size());
+    const bool keepRows = store || !resultsJsonPath().empty();
 
     // Per-run interval CSVs: any sweep of more than one cell writes
     // "iv.<slot>.csv"-style files so no run overwrites another's rows
@@ -366,7 +373,7 @@ runSweep(const std::vector<ConfigKind> &configs,
             StoredRun prev;
             if (resume && store->lookup(keys[i], &prev)) {
                 rows[i] = prev.metrics;
-                exportRowJson(prev.row, baseSlot + i);
+                docRows[i] = prev.row;
                 ++outcome.fromStore;
                 if (prev.status == RunStatus::Ok)
                     ++outcome.ok;
@@ -396,7 +403,6 @@ runSweep(const std::vector<ConfigKind> &configs,
     auto executeCell = [&](std::size_t i, bool parallel) {
         const JobSpec &spec = specs[i];
         RunContext ctx;
-        ctx.slot = baseSlot + i;
         ctx.cancel = &drainSignals;
         std::string log;
         std::unique_ptr<obs::TraceSink> sink;
@@ -418,9 +424,9 @@ runSweep(const std::vector<ConfigKind> &configs,
             }
         }
         if (perRunCsv)
-            ctx.intervalCsv = perRunCsvPath(intervalCsvBase, baseSlot + i);
+            ctx.intervalCsv = perRunCsvPath(intervalCsvBase, firstCell + i);
         std::string row;
-        if (store)
+        if (keepRows)
             ctx.rowOut = &row;
 
         Metrics m;
@@ -479,7 +485,6 @@ runSweep(const std::vector<ConfigKind> &configs,
                 m.status = "failed";
                 m.errorMessage = error;
                 row = buildFailureRow(m);
-                exportRowJson(row, baseSlot + i);
                 if (store) {
                     store->put({keys[i], RunStatus::Failed, error,
                                 unixNow(), 0.0, m, row});
@@ -493,6 +498,7 @@ runSweep(const std::vector<ConfigKind> &configs,
             }
         }
         rows[i] = std::move(m);
+        docRows[i] = std::move(row);
 
         if (sink) {
             sink.reset();  // flush + close before detaching
@@ -516,6 +522,7 @@ runSweep(const std::vector<ConfigKind> &configs,
             pool.submit([&, i] { executeCell(i, /*parallel=*/true); });
         pool.wait();
     }
+    exportRowsJson(std::move(docRows));
 
     outcome.executed = nExecuted.load();
     outcome.ok += nOk.load();

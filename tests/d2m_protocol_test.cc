@@ -196,6 +196,34 @@ TEST(D2mProtocol, InstructionSideUsesMd1I)
     EXPECT_TRUE(test::invariantReport(*sys).empty());
 }
 
+TEST(D2mProtocol, SideMigrationFlushesTheOtherL1)
+{
+    // Footnote 2: a region is active in one MD1 side at a time. A miss
+    // in the other side finds it through MD2 and migrates it, first
+    // evicting the old side's L1 lines, which the LI cannot name from
+    // the new side. The region has MD1 to itself, so every MD2 hit
+    // below is a migration.
+    for (ConfigKind kind :
+         {ConfigKind::D2mFs, ConfigKind::D2mNs, ConfigKind::D2mNsR}) {
+        SCOPED_TRACE(configKindName(kind));
+        auto sys = std::make_unique<D2mSystem>("d2m", paramsFor(kind, {}));
+        run(*sys, 0, store(regionA, 7));     // dirty L1-D master
+        run(*sys, 0, ifetch(regionA + 64));  // D -> I: master to the LLC
+        EXPECT_EQ(sys->events().md2Hits.value(), 1u);
+        EXPECT_EQ(sys->events().e.value(), 1u);
+        EXPECT_EQ(run(*sys, 0, ifetch(regionA)).loadValue, 7u);
+        EXPECT_EQ(run(*sys, 0, load(regionA)).loadValue, 7u);  // I -> D
+        EXPECT_EQ(sys->events().md2Hits.value(), 2u);
+
+        // A second node shares the region and migrates it too.
+        EXPECT_EQ(run(*sys, 1, load(regionA)).loadValue, 7u);
+        EXPECT_EQ(run(*sys, 1, ifetch(regionA)).loadValue, 7u);
+        EXPECT_EQ(run(*sys, 1, load(regionA + 64)).loadValue, 0u);
+        EXPECT_EQ(sys->events().md2Hits.value(), 4u);
+        EXPECT_TRUE(test::invariantReport(*sys).empty());
+    }
+}
+
 TEST(D2mProtocol, ServerStylePrivateMissesCounted)
 {
     // Disjoint address spaces: every miss is to a private region

@@ -179,9 +179,9 @@ TEST(ParallelSweep, MultiCellSweepWritesPerRunIntervalCsv)
 {
     // Any sweep with more than one cell splits D2M_INTERVAL_CSV into
     // per-run iv.<slot>.csv files so no run overwrites another's rows.
-    // The slot is the process-wide document slot (it keeps counting
-    // across sweeps in one process), so the test discovers the files
-    // by pattern instead of assuming 0-based numbering.
+    // The slot is the cell's index among every sweep cell of the
+    // process (it keeps counting across sweeps), so the test discovers
+    // the files by pattern instead of assuming 0-based numbering.
     const std::string base = testing::TempDir() + "psweep_iv.csv";
     ::setenv("D2M_INTERVAL_CSV", base.c_str(), 1);
     ::setenv("D2M_INTERVAL_INSTS", "500", 1);

@@ -2,7 +2,8 @@
  * @file
  * Durable result store: record round-trips, last-record-wins
  * reloads, torn-line tolerance, records of the previous format, and
- * run-key stability/uniqueness (DESIGN.md §12).
+ * run-key stability/uniqueness (DESIGN.md §12). Also when a sweep
+ * writes the D2M_STATS_JSON document it replays stored rows into.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include "harness/results_json.hh"
 #include "harness/runner.hh"
 #include "harness/store.hh"
 #include "obs/json.hh"
@@ -86,6 +88,41 @@ TEST(ResultStore, RecordRoundTrip)
     EXPECT_DOUBLE_EQ(back.metrics.msgsPerKiloInst,
                      run.metrics.msgsPerKiloInst);
     EXPECT_EQ(back.row, run.row) << "row must survive escaping";
+}
+
+TEST(ResultStore, RecordRoundTripKeepsEveryMetric)
+{
+    // A resumed bench reads its rows back from the store, so a field
+    // the reader drops would read 0 there while the document row (a
+    // verbatim string) stays right.
+    StoredRun run = sampleRun(7);
+    Metrics &m = run.metrics;
+    unsigned n = 0;
+    for (std::uint64_t *f :
+         {&m.instructions, &m.cycles, &m.accesses,
+          &m.invalidationsReceived, &m.dirOrMd3Accesses, &m.md2Accesses,
+          &m.l2TagAccesses, &m.llcTagAccesses, &m.valueErrors,
+          &m.invariantErrors})
+        *f = 1000 + ++n;
+    for (double *f :
+         {&m.ipc, &m.msgsPerKiloInst, &m.d2mMsgsPerKiloInst,
+          &m.bytesPerKiloInst, &m.energyPj, &m.edp, &m.l1iMissPct,
+          &m.l1dMissPct, &m.lateHitIPct, &m.lateHitDPct, &m.nearHitRatioI,
+          &m.nearHitRatioD, &m.avgMissLatency, &m.missLatencyP50,
+          &m.missLatencyP95, &m.missLatencyP99, &m.accessLatencyP99,
+          &m.nocDelayP99, &m.avgLiHops, &m.liHopsP99, &m.privateMissPct,
+          &m.directAccessPct, &m.nsLocalPct, &m.simKips, &m.warmupWallSec,
+          &m.measureWallSec})
+        *f = 0.25 * ++n;  // exact at the document's 6 decimal places
+    const std::string doc = metricsToJson(m);
+    for (const char *zero : {":0,", ":0}", ":0.000000"})
+        ASSERT_EQ(doc.find(zero), std::string::npos)
+            << "a numeric field kept its default: " << doc;
+
+    StoredRun back;
+    ASSERT_TRUE(ResultStore::recordFromJson(ResultStore::recordToJson(run),
+                                            &back));
+    EXPECT_EQ(metricsToJson(back.metrics), doc);
 }
 
 TEST(ResultStore, FailureRecordRoundTrip)
@@ -270,6 +307,48 @@ TEST(ResultStore, PreviousFormatRecordsReplayVerbatim)
               "{\"runs\":[\n" + okRow + ",\n" + failRow + "\n]}\n");
     std::remove(json.c_str());
     ::unsetenv("D2M_BUILD_FINGERPRINT");
+}
+
+TEST(StatsDocument, WrittenOnceAfterTheSweep)
+{
+    ::unsetenv("D2M_STORE_DIR");
+    const std::string json = testing::TempDir() + "stats_once.json";
+    std::remove(json.c_str());
+
+    // The child forks before D2M_STATS_JSON is first read (it is
+    // latched) and exits 9 if the first cell's row is in the document
+    // when the second cell starts.
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::setenv("D2M_STATS_JSON", json.c_str(), 1);
+        SweepOptions opts;
+        opts.verbose = false;
+        opts.warmupInstsPerCore = 500;
+        opts.jobs = 1;
+        unsigned started = 0;
+        opts.preRunHook = [&](const NamedWorkload &, unsigned) {
+            if (++started == 2 &&
+                readFile(json).find("\"metrics\"") != std::string::npos)
+                std::_Exit(9);
+        };
+        runSweep({ConfigKind::Base2L, ConfigKind::Base3L, ConfigKind::D2mFs},
+                 {testWorkload()}, opts);
+        std::_Exit(campaignExitCode(lastSweepOutcome()));
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_NE(WEXITSTATUS(status), 9)
+        << "the document was written before the sweep ended";
+    EXPECT_EQ(WEXITSTATUS(status), kCampaignExitClean);
+
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::parse(readFile(json), doc, err)) << err;
+    ASSERT_EQ(doc["runs"].array.size(), 3u);
+    EXPECT_EQ(doc["runs"].array[0]["config"].asString(), "Base-2L");
+    EXPECT_EQ(doc["runs"].array[2]["config"].asString(), "D2M-FS");
+    std::remove(json.c_str());
 }
 
 TEST(ResultStore, TimeoutRecordIsDroppedLikeATornLine)

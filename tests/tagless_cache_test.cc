@@ -21,11 +21,7 @@ TEST(TaglessCache, DirectAccessAfterFill)
     const Addr line = 0x123;
     const std::uint32_t set = cache.setFor(line);
     const std::uint32_t way = cache.victimWay(set);
-    TaglessLine &slot = cache.at(set, way);
-    slot.valid = true;
-    slot.lineAddr = line;
-    slot.value = 77;
-    cache.markInstalled(set, way);
+    cache.install(set, way, {.valid = true, .lineAddr = line, .value = 77});
     EXPECT_EQ(cache.at(set, way).value, 77u);
 }
 
@@ -37,7 +33,7 @@ TEST(TaglessCache, VictimPrefersInvalid)
         TaglessLine &slot = cache.at(0, w);
         slot.valid = true;
         slot.lineAddr = w;
-        cache.markInstalled(0, w);
+        cache.touch(0, w);
     }
     EXPECT_EQ(cache.victimWay(0), 3u);
 }
@@ -48,7 +44,7 @@ TEST(TaglessCache, VictimLruWhenFull)
     TaglessCache cache("l1", &parent, 16, 4, 6);
     for (unsigned w = 0; w < 4; ++w) {
         cache.at(0, w).valid = true;
-        cache.markInstalled(0, w);
+        cache.touch(0, w);
     }
     cache.touch(0, 0);  // way 0 newest
     EXPECT_EQ(cache.victimWay(0), 1u);
@@ -60,7 +56,7 @@ TEST(TaglessCache, MruDetection)
     TaglessCache cache("llc", &parent, 16, 4, 6);
     for (unsigned w = 0; w < 4; ++w) {
         cache.at(0, w).valid = true;
-        cache.markInstalled(0, w);
+        cache.touch(0, w);
     }
     cache.touch(0, 2);
     EXPECT_TRUE(cache.isMru(0, 2));
