@@ -11,12 +11,6 @@
 namespace d2m::stats
 {
 
-std::string
-formatFloat(double v)
-{
-    return json::number(v);
-}
-
 StatBase::StatBase(StatGroup *parent, std::string name, std::string desc)
     : name_(std::move(name)), desc_(std::move(desc)), parent_(parent)
 {
@@ -31,12 +25,6 @@ StatBase::~StatBase()
     // clears parent_ first when it is the one destroyed early).
     if (parent_)
         parent_->removeStat(this);
-}
-
-void
-Counter::print(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << " " << value_ << " # " << desc() << "\n";
 }
 
 void
@@ -97,26 +85,15 @@ Histogram2::percentile(double p) const
 }
 
 void
-Histogram2::print(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << " mean=" << formatFloat(mean())
-       << " p50=" << formatFloat(percentile(50))
-       << " p95=" << formatFloat(percentile(95))
-       << " p99=" << formatFloat(percentile(99))
-       << " max=" << max_ << " n=" << samples_ << " # " << desc()
-       << "\n";
-}
-
-void
 Histogram2::printJson(std::ostream &os) const
 {
-    os << "{\"mean\":" << formatFloat(mean())
+    os << "{\"mean\":" << json::number(mean())
        << ",\"samples\":" << json::number(samples_)
        << ",\"min\":" << json::number(minValue())
        << ",\"max\":" << json::number(max_)
-       << ",\"p50\":" << formatFloat(percentile(50))
-       << ",\"p95\":" << formatFloat(percentile(95))
-       << ",\"p99\":" << formatFloat(percentile(99))
+       << ",\"p50\":" << json::number(percentile(50))
+       << ",\"p95\":" << json::number(percentile(95))
+       << ",\"p99\":" << json::number(percentile(99))
        << ",\"buckets\":[";
     bool first = true;
     for (std::size_t b = 0; b < buckets_.size(); ++b) {
@@ -199,16 +176,6 @@ StatGroup::sortedChildren() const
                          return a->statName() < b->statName();
                      });
     return out;
-}
-
-void
-StatGroup::printStats(std::ostream &os) const
-{
-    const std::string prefix = fullStatPath() + ".";
-    for (const auto *stat : sortedStats())
-        stat->print(os, prefix);
-    for (const auto *child : sortedChildren())
-        child->printStats(os);
 }
 
 void

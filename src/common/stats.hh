@@ -22,9 +22,6 @@ namespace d2m::stats
 
 class StatGroup;
 
-/** Fixed-precision (deterministic) float formatting for stat output. */
-std::string formatFloat(double v);
-
 /** Base class for a single named statistic. */
 class StatBase
 {
@@ -37,10 +34,6 @@ class StatBase
 
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
-
-    /** Print "name value # desc" lines for this statistic. */
-    virtual void print(std::ostream &os,
-                       const std::string &prefix) const = 0;
 
     /** Emit this statistic's value as one JSON value (no name). */
     virtual void printJson(std::ostream &os) const = 0;
@@ -77,7 +70,6 @@ class Counter : public StatBase
 
     std::uint64_t value() const { return value_; }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
     void printJson(std::ostream &os) const override;
     void reset() override { value_ = 0; }
     std::uint64_t snapshotValue() const override { return value_; }
@@ -141,7 +133,6 @@ class Histogram2 : public StatBase
     }
     std::size_t numBuckets() const { return buckets_.size(); }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
     void printJson(std::ostream &os) const override;
     void reset() override;
     std::uint64_t snapshotValue() const override { return samples_; }
@@ -192,14 +183,11 @@ class StatGroup
     /** Full dotted path from the root group. */
     std::string fullStatPath() const;
 
-    /** Recursively print all statistics (stable name order, fixed
-     * float precision — output is bit-identical across runs). */
-    void printStats(std::ostream &os) const;
-
     /**
      * Recursively emit this group as one JSON object: each statistic
      * as "name": value and each child group as "name": {...}, both in
-     * stable (sorted-by-name) order.
+     * stable (sorted-by-name) order, with fixed float precision, so
+     * the output is bit-identical across runs.
      */
     void printJson(std::ostream &os) const;
 
@@ -214,7 +202,7 @@ class StatGroup
     const std::vector<StatGroup *> &children() const { return children_; }
 
   private:
-    /** Stats sorted by name (print/JSON stable ordering). */
+    /** Stats sorted by name (stable JSON ordering). */
     std::vector<const StatBase *> sortedStats() const;
     std::vector<const StatGroup *> sortedChildren() const;
 

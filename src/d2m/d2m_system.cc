@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "obs/selfprof.hh"
@@ -125,53 +126,37 @@ D2mSystem::lockRegion(std::uint64_t pregion)
 // Metadata management
 // ===================================================================
 
-D2mSystem::ActiveMd
-D2mSystem::activeMdFor(NodeId node, std::uint64_t pregion,
-                       bool charge_energy)
+Md2Entry *
+D2mSystem::md2For(NodeId node, std::uint64_t pregion, bool charge_energy)
 {
-    ActiveMd amd;
-    amd.pregion = pregion;
     Md2Entry *e2 = nodes_[node].md2->probe(pregion);
     if (!e2)
-        return amd;
-    amd.md2 = e2;
+        return nullptr;
     if (charge_energy)
         energy_.count(Structure::Md2);
     if (e2->activeInMd1) {
-        Md1Entry &e1 = trackedMd1(node, *e2);
-        panic_if(!e1.valid || e1.pregion != pregion,
+        panic_if(!linked(node, trackedMd1(node, *e2), *e2),
                  "MD2 tracking pointer names a stale MD1 entry");
-        amd.md1 = &e1;
         if (charge_energy)
             energy_.count(Structure::Md1);
     }
-    return amd;
+    return e2;
 }
 
 void
-D2mSystem::setPrivate(ActiveMd &md, bool value)
+D2mSystem::evictMd1Entry(NodeId node, Md1Entry &e1)
 {
-    md.md2->privateBit = value;
-    if (md.md1)
-        md.md1->privateBit = value;
-}
-
-void
-D2mSystem::evictMd1Entry(NodeId node, bool side_i, Md1Entry &e1)
-{
-    // MD1 eviction copies the live LIs back into the MD2 entry, which
-    // becomes active (footnote 1). Cached lines stay where they are.
-    Md2Entry *e2 = nodes_[node].md2->probe(e1.pregion);
-    panic_if(!e2, "MD1 entry without a backing MD2 entry");
-    e2->li = e1.li;
-    e2->privateBit = e1.privateBit;
-    e2->activeInMd1 = false;
-    e2->md1SideI = side_i;
+    // MD1 eviction writes the region's metadata back to MD2 (footnote
+    // 1). MD2 already holds it, so only its tracking pointer clears.
+    // Cached lines stay where they are.
+    Md2Entry &e2 = md2Of(node, e1);
+    panic_if(!linked(node, e1, e2), "MD1 entry without a backing MD2 entry");
+    e2.activeInMd1 = false;
     energy_.count(Structure::Md2);
     e1.valid = false;
 }
 
-Md1Entry &
+void
 D2mSystem::promoteToMd1(NodeId node, bool side_i, AsId asid, Addr vaddr,
                         Md2Entry &e2)
 {
@@ -180,23 +165,17 @@ D2mSystem::promoteToMd1(NodeId node, bool side_i, AsId asid, Addr vaddr,
     const std::uint64_t key = md1Key(asid, vaddr);
     Md1Entry &slot = md1.victimFor(key);
     if (slot.valid)
-        evictMd1Entry(node, side_i, slot);
+        evictMd1Entry(node, slot);
     md1.bind(slot, key);
-    slot.pregion = e2.key;
-    slot.privateBit = e2.privateBit;
-    slot.scramble = e2.scramble;
-    slot.li = e2.li;
+    std::tie(slot.md2Set, slot.md2Way) = nodes_[node].md2->positionOf(e2);
     md1.markInstalled(slot);
-    const auto [set, way] = md1.positionOf(slot);
+    std::tie(e2.md1Set, e2.md1Way) = md1.positionOf(slot);
     e2.activeInMd1 = true;
     e2.md1SideI = side_i;
-    e2.md1Set = set;
-    e2.md1Way = way;
     energy_.count(Structure::Md1);
-    return slot;
 }
 
-D2mSystem::ActiveMd
+Md2Entry &
 D2mSystem::lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
                           Cycles &lat, unsigned &md_level)
 {
@@ -209,13 +188,10 @@ D2mSystem::lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
     if (Md1Entry *e1 = md1.find(md1Key(acc.asid, acc.vaddr))) [[likely]] {
         md_level = 0;
         ++events_.md1Hits;
-        obs::protoEvent(obs::ProtoEvent::Md1Hit, node, e1->pregion);
-        ActiveMd amd;
-        amd.md1 = e1;
-        amd.md2 = ctx.md2->probe(e1->pregion);
-        amd.pregion = e1->pregion;
-        panic_if(!amd.md2, "MD1 inclusion in MD2 violated");
-        return amd;
+        Md2Entry &e2 = md2Of(node, *e1);
+        panic_if(!linked(node, *e1, e2), "MD1 inclusion in MD2 violated");
+        obs::protoEvent(obs::ProtoEvent::Md1Hit, node, e2.key);
+        return e2;
     }
 
     // MD1 miss: physical path through TLB2 and MD2 (Figure 1).
@@ -235,33 +211,28 @@ D2mSystem::lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
         ++events_.md2Hits;
         obs::protoEvent(obs::ProtoEvent::Md2Hit, node, pregion);
         if (e2->activeInMd1) {
-            // Active in the other side's MD1 (footnote 2): migrate.
+            // Cached in the other side's MD1 (footnote 2): migrate.
             // L1-kind LIs are flushed first since the LI encoding
             // cannot name the other side's L1.
             const bool old_side = e2->md1SideI;
-            Md1Entry &e1 = trackedMd1(node, *e2);
             for (unsigned i = 0; i < params_.regionLines; ++i) {
-                if (e1.li[i].kind == LiKind::L1) {
+                if (e2->li[i].kind == LiKind::L1) {
                     evictLocal(node, /*in_l1=*/true,
-                               slotAt(node, old_side, e1.li[i],
-                                      regionLine(pregion, i), e1.scramble));
+                               slotAt(node, old_side, e2->li[i],
+                                      regionLine(pregion, i), e2->scramble));
                 }
             }
-            evictMd1Entry(node, old_side, e1);
+            evictMd1Entry(node, trackedMd1(node, *e2));
         }
-        Md1Entry &e1 = promoteToMd1(node, side_i, acc.asid, acc.vaddr, *e2);
-        ActiveMd amd;
-        amd.md1 = &e1;
-        amd.md2 = e2;
-        amd.pregion = pregion;
-        return amd;
+        promoteToMd1(node, side_i, acc.asid, acc.vaddr, *e2);
+        return *e2;
     }
 
     md_level = 2;
     return caseD(node, side_i, acc.asid, acc.vaddr, pregion, lat);
 }
 
-D2mSystem::ActiveMd
+Md2Entry &
 D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
                  std::uint64_t pregion, Cycles &lat)
 {
@@ -333,17 +304,17 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
                             /*shared=*/1, /*was_shared=*/0);
             const NodeId owner = std::countr_zero(e3->pb);
             noc_.send(farSide(), owner, MsgType::GetMD);
-            ActiveMd amd_o = activeMdFor(owner, pregion);
-            panic_if(!amd_o.tracked(), "PB bit without MD2 entry");
-            setPrivate(amd_o, false);
+            Md2Entry *md_o = md2For(owner, pregion);
+            panic_if(!md_o, "PB bit without MD2 entry");
+            md_o->privateBit = false;
             // Convert owner-local LIs to globally meaningful ones: a
             // local master means "in node owner", otherwise the chain
             // ends at the master.
             for (unsigned i = 0; i < params_.regionLines; ++i) {
                 bool local_master = false;
                 const LocationInfo end = walkLocal(
-                    owner, amd_o.sideI(), amd_o.li()[i],
-                    regionLine(pregion, i), amd_o.scramble(),
+                    owner, md_o->md1SideI, md_o->li[i],
+                    regionLine(pregion, i), md_o->scramble,
                     [&](TaglessLine &slot) { local_master |= slot.master; });
                 e3->li[i] = local_master ? LocationInfo::inNode(owner) : end;
             }
@@ -370,11 +341,10 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
     // replacement favors regions with few cachelines present
     // (Section II-A).
     NodeCtx &ctx = nodes_[node];
-    auto cost2 = [this, node](const Md2Entry &e) {
-        const LiVector &lis = e.activeInMd1 ? trackedMd1(node, e).li : e.li;
+    auto cost2 = [this](const Md2Entry &e) {
         unsigned local = 0;
         for (unsigned i = 0; i < params_.regionLines; ++i) {
-            if (lis[i].isLocalCache())
+            if (e.li[i].isLocalCache())
                 ++local;
         }
         return local;
@@ -396,14 +366,9 @@ D2mSystem::caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
 
     lat += noc_.send(farSide(), node, MsgType::MDReply);
 
-    Md1Entry &e1 = promoteToMd1(node, side_i, asid, vaddr, slot2);
+    promoteToMd1(node, side_i, asid, vaddr, slot2);
     noc_.send(node, farSide(), MsgType::Done);
-
-    ActiveMd amd;
-    amd.md1 = &e1;
-    amd.md2 = &slot2;
-    amd.pregion = pregion;
-    return amd;
+    return slot2;
 }
 
 // ===================================================================
@@ -462,12 +427,12 @@ D2mSystem::walkLocal(NodeId node, bool side_i, LocationInfo li,
 }
 
 D2mSystem::DropResult
-D2mSystem::dropLocalCopies(NodeId node, ActiveMd &md, unsigned line_idx,
+D2mSystem::dropLocalCopies(NodeId node, Md2Entry &md, unsigned line_idx,
                            Addr line_addr)
 {
     DropResult result;
-    md.li()[line_idx] = walkLocal(
-        node, md.sideI(), md.li()[line_idx], line_addr, md.scramble(),
+    md.li[line_idx] = walkLocal(
+        node, md.md1SideI, md.li[line_idx], line_addr, md.scramble,
         [&](TaglessLine &slot) {
             result.droppedAny = true;
             if (slot.master) {
@@ -481,12 +446,12 @@ D2mSystem::dropLocalCopies(NodeId node, ActiveMd &md, unsigned line_idx,
 }
 
 std::uint64_t
-D2mSystem::readLocalValue(NodeId node, ActiveMd &md, unsigned line_idx,
+D2mSystem::readLocalValue(NodeId node, Md2Entry &md, unsigned line_idx,
                           Addr line_addr, Cycles &lat)
 {
-    const LocationInfo li = md.li()[line_idx];
+    const LocationInfo li = md.li[line_idx];
     const TaglessLine &slot =
-        slotAt(node, md.sideI(), li, line_addr, md.scramble());
+        slotAt(node, md.md1SideI, li, line_addr, md.scramble);
     panic_if(!slot.valid || slot.lineAddr != line_addr,
              "LI determinism violated (LI kind %d)",
              static_cast<int>(li.kind));
@@ -540,15 +505,15 @@ D2mSystem::evictLlcSlot(std::uint32_t slice, std::uint32_t set,
         // are repaired locally (replicas live in the owner's slice).
         const NodeId owner = slot.ownerNode;
         panic_if(owner == invalidNode, "replica without an owner");
-        ActiveMd amd = activeMdFor(owner, pregion);
-        panic_if(!amd.tracked(), "replica inclusion in MD2 violated");
+        Md2Entry *md = md2For(owner, pregion);
+        panic_if(!md, "replica inclusion in MD2 violated");
         const LocationInfo here = LocationInfo::inLlc(slice, way);
-        LocationInfo li = amd.li()[idx];
+        const LocationInfo li = md->li[idx];
         if (li == here) {
-            amd.li()[idx] = slot.rp;
+            md->li[idx] = slot.rp;
         } else if (li.isLocalCache()) {
             TaglessLine &holder =
-                slotAt(owner, amd.sideI(), li, line_addr, amd.scramble());
+                slotAt(owner, md->md1SideI, li, line_addr, md->scramble);
             if (holder.valid && holder.lineAddr == line_addr &&
                 holder.rp == here) {
                 holder.rp = slot.rp;
@@ -607,15 +572,15 @@ D2mSystem::newMasterAtNode(NodeId n, std::uint64_t pregion,
                            unsigned line_idx, Addr line_addr,
                            const LocationInfo &new_loc)
 {
-    ActiveMd amd = activeMdFor(n, pregion);
-    panic_if(!amd.tracked(), "NewMaster for an untracked region");
+    Md2Entry *md = md2For(n, pregion);
+    panic_if(!md, "NewMaster for an untracked region");
     // Repoint the pointer that ends the node's local chain: the LI, or
     // the RP of its last local copy.
     TaglessLine *last = nullptr;
-    walkLocal(n, amd.sideI(), amd.li()[line_idx], line_addr, amd.scramble(),
+    walkLocal(n, md->md1SideI, md->li[line_idx], line_addr, md->scramble,
               [&](TaglessLine &slot) { last = &slot; });
     if (!last) {
-        amd.li()[line_idx] = new_loc;
+        md->li[line_idx] = new_loc;
     } else if (!last->master) {
         // A local master has nothing to repoint. (That happens when the
         // notification races with a local copy that was promoted; with
@@ -631,13 +596,13 @@ D2mSystem::invalidateLineAtNode(NodeId n, std::uint64_t pregion,
 {
     obs::ProfScope prof(obs::ProfSite::Invalidate);
     ++stats_.invalidationsReceived;
-    ActiveMd amd = activeMdFor(n, pregion);
-    panic_if(!amd.tracked(), "Inv for an untracked region");
-    const DropResult dropped = dropLocalCopies(n, amd, line_idx, line_addr);
+    Md2Entry *md = md2For(n, pregion);
+    panic_if(!md, "Inv for an untracked region");
+    const DropResult dropped = dropLocalCopies(n, *md, line_idx, line_addr);
     panic_if(dropped.droppedMaster,
              "invalidation reached the master copy; the exclusive fetch "
              "should have consumed it");
-    amd.li()[line_idx] = new_master;
+    md->li[line_idx] = new_master;
     if (!dropped.droppedAny)
         ++stats_.falseInvalidations;
     return dropped.droppedAny;
@@ -669,14 +634,14 @@ D2mSystem::masterEvicted(NodeId node, TaglessLine &line)
     const Addr line_addr = line.lineAddr;
     const std::uint64_t pregion = regionOf(line_addr);
     const unsigned idx = lineIdxOf(line_addr);
-    ActiveMd amd = activeMdFor(node, pregion, /*charge=*/false);
-    panic_if(!amd.tracked(), "master eviction in an untracked region");
+    Md2Entry *md = md2For(node, pregion, /*charge=*/false);
+    panic_if(!md, "master eviction in an untracked region");
 
     // Case E/F: relocate the master to its victim location.
     const LocationInfo new_loc =
-        allocateVictimInLlc(node, line_addr, amd.scramble());
+        allocateVictimInLlc(node, line_addr, md->scramble);
     TaglessCache &slice = *llc_[new_loc.node];
-    slice.install(slice.setFor(line_addr, amd.scramble()), new_loc.way,
+    slice.install(slice.setFor(line_addr, md->scramble), new_loc.way,
                   {.valid = true,
                    .lineAddr = line_addr,
                    .value = line.value,
@@ -685,11 +650,11 @@ D2mSystem::masterEvicted(NodeId node, TaglessLine &line)
     energy_.count(Structure::LlcData);
     noc_.send(node, sliceEndpoint(new_loc.node), MsgType::WritebackData);
 
-    if (amd.privateBit()) {
+    if (md->privateBit) {
         // Case E: private region, local metadata update only.
         ++events_.e;
         obs::protoEvent(obs::ProtoEvent::CaseE, node, line_addr);
-        amd.li()[idx] = new_loc;
+        md->li[idx] = new_loc;
     } else {
         // Case F: shared region, blocking EvictReq through MD3.
         ++events_.f;
@@ -705,7 +670,7 @@ D2mSystem::masterEvicted(NodeId node, TaglessLine &line)
             noc_.send(farSide(), p, MsgType::NewMaster);
             newMasterAtNode(p, pregion, idx, line_addr, new_loc);
         }
-        amd.li()[idx] = new_loc;
+        md->li[idx] = new_loc;
         e3->li[idx] = new_loc;
         noc_.send(node, farSide(), MsgType::Done);
     }
@@ -717,25 +682,26 @@ D2mSystem::evictLocal(NodeId node, bool in_l1, TaglessLine &line)
     if (!line.valid)
         return;
     const unsigned idx = lineIdxOf(line.lineAddr);
-    // Following the line's TP to the active MD entry costs an MD2
-    // access and possibly an MD1 access (Section III-B example).
-    ActiveMd amd = activeMdFor(node, regionOf(line.lineAddr));
-    panic_if(!amd.tracked(), "local line in an untracked region");
+    // Following the line's TP to the region's metadata costs an MD2
+    // access, plus an MD1 access when the region is cached there
+    // (Section III-B example).
+    Md2Entry *md = md2For(node, regionOf(line.lineAddr));
+    panic_if(!md, "local line in an untracked region");
 
     if (!line.master && !line.rp.isMem()) {
         // Replicated lines replace silently; the LI falls back to the
         // RP (the master location, or a local NS replica).
-        amd.li()[idx] = line.rp;
+        md->li[idx] = line.rp;
     } else if (line.master && in_l1 && nodes_[node].l2) {
         // A private L2 absorbs L1 master victims: a purely local move
         // (remote nodes track masters by NodeID only).
         TaglessCache &l2 = *nodes_[node].l2;
-        const std::uint32_t set = l2.setFor(line.lineAddr, amd.scramble());
+        const std::uint32_t set = l2.setFor(line.lineAddr, md->scramble);
         const std::uint32_t way = l2.victimWay(set);
         evictLocal(node, /*in_l1=*/false, l2.at(set, way));
         l2.install(set, way, line);
         energy_.count(Structure::L2Data);
-        amd.li()[idx] = LocationInfo::inL2(way);
+        md->li[idx] = LocationInfo::inL2(way);
     } else {
         // Masters, and the only cached copy of a memory-mastered line:
         // give it a victim location instead of dropping it, becoming
@@ -754,20 +720,19 @@ D2mSystem::nodeRegionEvict(NodeId node, std::uint64_t pregion)
     obs::ProfScope prof(obs::ProfSite::RegionEvict);
     ++events_.md2Spills;
     obs::protoEvent(obs::ProtoEvent::Md2Spill, node, pregion);
-    ActiveMd amd = activeMdFor(node, pregion, /*charge=*/false);
-    panic_if(!amd.tracked(), "evicting an untracked region");
+    Md2Entry *md = md2For(node, pregion, /*charge=*/false);
+    panic_if(!md, "evicting an untracked region");
 
     // Flush every local copy the region tracks (metadata inclusion).
     // Each eviction rewrites the LI, so it is re-read after every step.
     for (unsigned idx = 0; idx < params_.regionLines; ++idx) {
         const Addr la = regionLine(pregion, idx);
-        for (LocationInfo li = amd.li()[idx];
-             liIsLocal(node, li, la, amd.scramble()); li = amd.li()[idx]) {
-            TaglessLine &slot =
-                slotAt(node, amd.sideI(), li, la, amd.scramble());
+        for (LocationInfo li = md->li[idx];
+             liIsLocal(node, li, la, md->scramble); li = md->li[idx]) {
+            TaglessLine &slot = slotAt(node, md->md1SideI, li, la, md->scramble);
             if (li.kind == LiKind::Llc) {
                 // Own-slice replica: drop it, LI falls back to its RP.
-                amd.li()[idx] = slot.rp;
+                md->li[idx] = slot.rp;
                 slot.invalidate();
             } else {
                 evictLocal(node, li.kind == LiKind::L1, slot);
@@ -780,9 +745,9 @@ D2mSystem::nodeRegionEvict(NodeId node, std::uint64_t pregion)
     energy_.count(Structure::Md3);
     Md3Entry *e3 = md3_->probe(pregion);
     panic_if(!e3, "MD3 inclusion violated on spill");
-    if (amd.privateBit()) {
+    if (md->privateBit) {
         // Private regions carried authoritative LIs only in the node.
-        e3->li = amd.li();
+        e3->li = md->li;
         for (auto &li : e3->li) {
             panic_if(li.isLocalCache(),
                      "local LI survived the region flush");
@@ -790,35 +755,35 @@ D2mSystem::nodeRegionEvict(NodeId node, std::uint64_t pregion)
     }
     e3->pb &= ~(std::uint64_t(1) << node);
 
-    if (amd.md1)
-        amd.md1->valid = false;
-    amd.md2->valid = false;
+    if (md->activeInMd1)
+        trackedMd1(node, *md).valid = false;
+    md->valid = false;
 }
 
 void
 D2mSystem::flushNodeRegion(NodeId node, std::uint64_t pregion)
 {
-    ActiveMd amd = activeMdFor(node, pregion, /*charge=*/false);
-    if (!amd.tracked())
+    Md2Entry *md = md2For(node, pregion, /*charge=*/false);
+    if (!md)
         return;
     for (unsigned idx = 0; idx < params_.regionLines; ++idx) {
         const Addr la = regionLine(pregion, idx);
         // Drop the local chain; dirty masters go straight to memory.
-        const DropResult dropped = dropLocalCopies(node, amd, idx, la);
+        const DropResult dropped = dropLocalCopies(node, *md, idx, la);
         if (dropped.droppedMaster && dropped.masterDirty) {
             memory_.write(la, dropped.masterValue);
             noc_.send(node, farSide(), MsgType::WritebackData);
         }
         // Private regions may track LLC masters only through the
         // owner's LIs: flush those too (the region is dying).
-        if (amd.privateBit() && amd.li()[idx].kind == LiKind::Llc) {
-            dropLlcLine(amd.li()[idx], la, amd.scramble());
-            amd.li()[idx] = LocationInfo::mem();
+        if (md->privateBit && md->li[idx].kind == LiKind::Llc) {
+            dropLlcLine(md->li[idx], la, md->scramble);
+            md->li[idx] = LocationInfo::mem();
         }
     }
-    if (amd.md1)
-        amd.md1->valid = false;
-    amd.md2->valid = false;
+    if (md->activeInMd1)
+        trackedMd1(node, *md).valid = false;
+    md->valid = false;
 }
 
 void
@@ -866,7 +831,7 @@ D2mSystem::dropLlcLine(const LocationInfo &li, Addr line_addr,
 
 std::uint64_t
 D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
-                           std::uint64_t pregion, Addr line_addr,
+                           std::uint32_t scramble, Addr line_addr,
                            bool invalidate_master, Cycles &lat,
                            ServiceLevel &level, bool &was_mru)
 {
@@ -882,11 +847,9 @@ D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
         const std::uint32_t slice = master.node;
         const std::uint32_t ep = sliceEndpoint(slice);
         lat += noc_.send(node, ep, MsgType::ReadReq);
-        // The region's scramble governs LLC indexing; all trackers of
-        // the region share it via their metadata.
-        std::uint32_t scramble = 0;
-        if (Md3Entry *e3 = md3_->probe(pregion))
-            scramble = e3->scramble;
+        // The region's scramble governs LLC indexing. Every tracker
+        // copies it from MD3 (case D) and an MD3 eviction flushes them
+        // all, so the requester's copy is MD3's.
         const std::uint32_t set = llc_[slice]->setFor(line_addr, scramble);
         TaglessLine &slot = llc_[slice]->at(set, master.way);
         panic_if(!slot.valid || slot.lineAddr != line_addr,
@@ -898,8 +861,9 @@ D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
                  master.way, slot.valid,
                  static_cast<unsigned long long>(slot.lineAddr),
                  slot.master, slot.ownerNode, node,
-                 static_cast<unsigned long long>(pregion),
-                 static_cast<int>(regionClass(pregion)), scramble);
+                 static_cast<unsigned long long>(regionOf(line_addr)),
+                 static_cast<int>(regionClass(regionOf(line_addr))),
+                 scramble);
         energy_.count(Structure::LlcData);
         lat += params_.lat.llc;
         was_mru = llc_[slice]->isMru(set, master.way);
@@ -935,20 +899,20 @@ D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
         lat += noc_.send(node, r, MsgType::ReadReq);
         // The remote master performs its own MD lookup to locate the
         // line (Section III-A).
-        ActiveMd amd_r = activeMdFor(r, pregion);
-        panic_if(!amd_r.tracked(), "master node lost the region");
+        Md2Entry *md_r = md2For(r, regionOf(line_addr));
+        panic_if(!md_r, "master node lost the region");
         lat += params_.lat.md2;
         const unsigned idx = lineIdxOf(line_addr);
         const std::uint64_t value =
-            readLocalValue(r, amd_r, idx, line_addr, lat);
+            readLocalValue(r, *md_r, idx, line_addr, lat);
         if (invalidate_master) {
-            dropLocalCopies(r, amd_r, idx, line_addr);
-            amd_r.li()[idx] = LocationInfo::inNode(node);
+            dropLocalCopies(r, *md_r, idx, line_addr);
+            md_r->li[idx] = LocationInfo::inNode(node);
         } else {
             // The requester installs a replica: the remote master
             // loses exclusivity (M/E -> O/F).
-            walkLocal(r, amd_r.sideI(), amd_r.li()[idx], line_addr,
-                      amd_r.scramble(), [](TaglessLine &slot) {
+            walkLocal(r, md_r->md1SideI, md_r->li[idx], line_addr,
+                      md_r->scramble, [](TaglessLine &slot) {
                           if (slot.master)
                               slot.exclusive = false;
                       });
@@ -964,12 +928,12 @@ D2mSystem::fetchFromMaster(NodeId node, const LocationInfo &master,
 }
 
 std::uint64_t
-D2mSystem::caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
-                 Addr line_addr, Cycles &lat)
+D2mSystem::caseC(NodeId node, Md2Entry &md, Addr line_addr, Cycles &lat)
 {
     obs::ProfScope prof(obs::ProfSite::CohUpgrade);
     ++events_.c;
     ++stats_.dirIndirections;
+    const std::uint64_t pregion = md.key;
     const unsigned idx = lineIdxOf(line_addr);
     obs::traceEvent(obs::TraceKind::CohUpgrade, node, line_addr,
                     /*proto_case=*/'C');
@@ -992,7 +956,7 @@ D2mSystem::caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
     } else {
         ServiceLevel lvl;
         bool mru = false;
-        value = fetchFromMaster(node, master, pregion, line_addr,
+        value = fetchFromMaster(node, master, md.scramble, line_addr,
                                 /*invalidate_master=*/master.kind !=
                                     LiKind::Mem,
                                 fetch_lat, lvl, mru);
@@ -1025,7 +989,7 @@ D2mSystem::caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
         ++events_.sharedToPrivate;
         obs::traceEvent(obs::TraceKind::RegionClass, node, pregion,
                         /*shared=*/0, /*was_shared=*/1);
-        setPrivate(md, true);
+        md.privateBit = true;
         for (auto &li : e3->li)
             li = LocationInfo::invalid();
     }
@@ -1108,45 +1072,44 @@ D2mSystem::access(NodeId node, const MemAccess &acc, Tick now)
     const bool side_i = isIFetch(acc.type);
     Cycles lat = params_.lat.l1Hit;
     unsigned md_level = 0;
-    ActiveMd md = lookupMetadata(node, acc, side_i, lat, md_level);
+    Md2Entry &md = lookupMetadata(node, acc, side_i, lat, md_level);
 
     const Addr paddr =
-        (md.pregion << regionShift_) |
+        (md.key << regionShift_) |
         (acc.vaddr & ((Addr(1) << regionShift_) - 1));
     const Addr line_addr = lineOf(paddr);
 
     curLiHops_ = 0;
-    const AccessResult res = serviceLine(node, acc, side_i, md,
-                                         md.pregion, line_addr, md_level,
-                                         lat);
+    const AccessResult res =
+        serviceLine(node, acc, side_i, md, line_addr, md_level, lat);
     stats_.accessLatency.sample(res.latency);
     return res;
 }
 
 AccessResult
 D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
-                       ActiveMd md, std::uint64_t pregion, Addr line_addr,
-                       unsigned md_level, Cycles lat)
+                       Md2Entry &md, Addr line_addr, unsigned md_level,
+                       Cycles lat)
 {
     obs::ProfScope prof(obs::ProfSite::ServiceLine);
     const unsigned idx = lineIdxOf(line_addr);
     const bool store = isWrite(acc.type);
     AccessResult res;
 
-    LocationInfo li = md.li()[idx];
-    panic_if(li.isInvalid(), "invalid LI in a node's active metadata");
+    LocationInfo li = md.li[idx];
+    panic_if(li.isInvalid(), "invalid LI in a node's metadata");
 
     // ---- L1 hit ----------------------------------------------------
     if (li.kind == LiKind::L1) [[likely]] {
         TaglessCache &l1 = l1For(node, side_i);
-        const std::uint32_t set = l1.setFor(line_addr, md.scramble());
+        const std::uint32_t set = l1.setFor(line_addr, md.scramble);
         TaglessLine &slot = l1.at(set, li.way);
         panic_if(!slot.valid || slot.lineAddr != line_addr,
                  "deterministic LI violated at L1");
         energy_.count(Structure::L1Data);
         l1.touch(set, li.way);
         if (store) {
-            if (slot.master && (md.privateBit() || slot.exclusive)) {
+            if (slot.master && (md.privateBit || slot.exclusive)) {
                 // Silent upgrade: private regions never need
                 // coherence, and an exclusive (M/E) master has no
                 // replicas to invalidate.
@@ -1155,7 +1118,7 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
             } else if (slot.master) {
                 // Local master in O/F flavor: replicas may exist in
                 // other nodes; invalidate them through MD3 (case C).
-                caseC(node, md, pregion, line_addr, lat);
+                caseC(node, md, line_addr, lat);
                 slot.value = acc.storeValue;
                 slot.dirty = true;
                 slot.exclusive = true;
@@ -1164,7 +1127,7 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                 const auto drop_replica = [](TaglessLine &rep) {
                     rep.invalidate();
                 };
-                if (md.privateBit()) {
+                if (md.privateBit) {
                     // Private region: consume the master directly
                     // (case B, hit flavor).
                     ++events_.b;
@@ -1174,12 +1137,12 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                     // Chained local NS replica? Drop it first.
                     const LocationInfo m =
                         walkLocal(node, side_i, slot.rp, line_addr,
-                                  md.scramble(), drop_replica);
+                                  md.scramble, drop_replica);
                     if (m.kind == LiKind::Llc) {
                         ServiceLevel lvl;
                         bool mru;
                         Cycles flat = 0;
-                        fetchFromMaster(node, m, pregion, line_addr,
+                        fetchFromMaster(node, m, md.scramble, line_addr,
                                         /*invalidate=*/true, flat, lvl,
                                         mru);
                         lat += flat;
@@ -1187,10 +1150,10 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                     // m == Mem: the master is memory; nothing cached to
                     // consume.
                 } else {
-                    caseC(node, md, pregion, line_addr, lat);
+                    caseC(node, md, line_addr, lat);
                     // Drop a chained local NS replica (now stale).
                     walkLocal(node, side_i, slot.rp, line_addr,
-                              md.scramble(), drop_replica);
+                              md.scramble, drop_replica);
                 }
                 slot.master = true;
                 slot.exclusive = true;
@@ -1217,7 +1180,7 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
         ++stats_.l1dMisses;
         ++stats_.beyondL1D;
     }
-    if (md.privateBit())
+    if (md.privateBit)
         ++stats_.missesToPrivate;
 
     std::uint64_t value = 0;
@@ -1241,7 +1204,7 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
         if (li.kind == LiKind::L2) {
             // Local move L2 -> L1: no metadata coherence required.
             TaglessLine &slot =
-                slotAt(node, side_i, li, line_addr, md.scramble());
+                slotAt(node, side_i, li, line_addr, md.scramble);
             panic_if(!slot.valid || slot.lineAddr != line_addr,
                      "deterministic LI violated at L2");
             energy_.count(Structure::L2Data);
@@ -1257,7 +1220,7 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
             else
                 ++stats_.nearHitsD;
         } else {
-            value = fetchFromMaster(node, li, pregion, line_addr,
+            value = fetchFromMaster(node, li, md.scramble, line_addr,
                                     /*invalidate=*/false, lat, level,
                                     was_mru);
             switch (li.kind) {
@@ -1266,7 +1229,7 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
               case LiKind::Node: ++events_.aMasterRemote; break;
               default: break;
             }
-            if (li.kind == LiKind::Mem && md.privateBit()) {
+            if (li.kind == LiKind::Mem && md.privateBit) {
                 // Sole user: the fetched copy becomes the master.
                 install_master = true;
                 rp_for_l1 = LocationInfo::mem();
@@ -1287,13 +1250,13 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
             }
         }
         const std::uint32_t way =
-            installL1(node, side_i, line_addr, md.scramble(), value,
+            installL1(node, side_i, line_addr, md.scramble, value,
                       install_master, install_dirty, rp_for_l1,
                       /*exclusive=*/install_master);
         if (defer_rp) {
             // The LI still names the master (possibly moved by the
             // eviction cascade above, which repaired it in place).
-            LocationInfo master_now = md.li()[idx];
+            LocationInfo master_now = md.li[idx];
             panic_if(master_now.kind == LiKind::L1 ||
                          master_now.kind == LiKind::L2,
                      "master LI unexpectedly local after install");
@@ -1301,23 +1264,23 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                 nearSide_ && master_now.kind == LiKind::Llc &&
                 master_now.node == node;
             LocationInfo rp = master_now;
-            if (nearSide_ && params_.replication && !md.privateBit() &&
+            if (nearSide_ && params_.replication && !md.privateBit &&
                 !already_local_slice &&
                 shouldReplicate(
                     side_i,
                     master_now.kind == LiKind::Llc &&
                         master_now.node != node,
                     was_mru)) {
-                rp = replicateToLocalSlice(node, line_addr, md.scramble(),
+                rp = replicateToLocalSlice(node, line_addr, md.scramble,
                                            value, master_now, side_i);
             }
             slotAt(node, side_i, LocationInfo::inL1(way), line_addr,
-                   md.scramble()).rp = rp;
+                   md.scramble).rp = rp;
         }
-        md.li()[idx] = LocationInfo::inL1(way);
+        md.li[idx] = LocationInfo::inL1(way);
     } else {
         // ---- Store miss: case B (private) or case C (shared) -------
-        if (md.privateBit()) {
+        if (md.privateBit) {
             ++events_.b;
             if (md_level < 2)
                 ++events_.directAccesses;
@@ -1325,7 +1288,7 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                             /*proto_case=*/'B');
             const DropResult dropped =
                 dropLocalCopies(node, md, idx, line_addr);
-            const LocationInfo master = md.li()[idx];
+            const LocationInfo master = md.li[idx];
             if (dropped.droppedMaster) {
                 value = dropped.masterValue;
                 level = ServiceLevel::L2;
@@ -1333,7 +1296,7 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
             } else if (master.kind == LiKind::Llc ||
                        master.kind == LiKind::Mem) {
                 bool mru = false;
-                value = fetchFromMaster(node, master, pregion, line_addr,
+                value = fetchFromMaster(node, master, md.scramble, line_addr,
                                         master.kind == LiKind::Llc, lat,
                                         level, mru);
             } else {
@@ -1341,15 +1304,15 @@ D2mSystem::serviceLine(NodeId node, const MemAccess &acc, bool side_i,
                       static_cast<int>(master.kind));
             }
         } else {
-            value = caseC(node, md, pregion, line_addr, lat);
+            value = caseC(node, md, line_addr, lat);
             dropLocalCopies(node, md, idx, line_addr);
             level = ServiceLevel::LLC_FAR;
         }
         const std::uint32_t way =
-            installL1(node, side_i, line_addr, md.scramble(),
+            installL1(node, side_i, line_addr, md.scramble,
                       acc.storeValue, /*master=*/true, /*dirty=*/true,
                       LocationInfo::mem(), /*exclusive=*/true);
-        md.li()[idx] = LocationInfo::inL1(way);
+        md.li[idx] = LocationInfo::inL1(way);
         value = acc.storeValue;
     }
 

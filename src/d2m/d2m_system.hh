@@ -84,28 +84,6 @@ class D2mSystem : public MemorySystem
         std::unique_ptr<TaglessCache> l2;  // optional
     };
 
-    /** Accessor for the active metadata of (node, region). */
-    struct ActiveMd
-    {
-        Md1Entry *md1 = nullptr;  //!< Non-null when active in MD1.
-        Md2Entry *md2 = nullptr;  //!< Always non-null when tracked.
-        std::uint64_t pregion = 0;
-
-        bool tracked() const { return md2 != nullptr; }
-        LiVector &li() { return md1 ? md1->li : md2->li; }
-        const LiVector &li() const { return md1 ? md1->li : md2->li; }
-        bool privateBit() const
-        {
-            return md1 ? md1->privateBit : md2->privateBit;
-        }
-        std::uint32_t scramble() const
-        {
-            return md1 ? md1->scramble : md2->scramble;
-        }
-        /** Which L1 side holds this region's L1-resident lines. */
-        bool sideI() const { return md2->md1SideI; }
-    };
-
     // ---- address helpers --------------------------------------------
     Addr lineOf(Addr paddr) const { return paddr >> lineShift_; }
     std::uint64_t regionOf(Addr line_addr) const
@@ -147,6 +125,22 @@ class D2mSystem : public MemorySystem
     {
         return md1For(node, e2.md1SideI).at(e2.md1Set, e2.md1Way);
     }
+    /** The MD2 entry @p e1's pointer names. */
+    Md2Entry &md2Of(NodeId node, const Md1Entry &e1)
+    {
+        return nodes_[node].md2->at(e1.md2Set, e1.md2Way);
+    }
+    const Md2Entry &md2Of(NodeId node, const Md1Entry &e1) const
+    {
+        return nodes_[node].md2->at(e1.md2Set, e1.md2Way);
+    }
+    /** True when @p e1 and @p e2 are valid and each names the other:
+     * @p e1's MD2 pointer and @p e2's tracking pointer. */
+    bool linked(NodeId node, const Md1Entry &e1, const Md2Entry &e2) const
+    {
+        return e1.valid && e2.valid && e2.activeInMd1 &&
+               &trackedMd1(node, e2) == &e1 && &md2Of(node, e1) == &e2;
+    }
     std::uint32_t sliceEndpoint(std::uint32_t slice) const
     {
         return nearSide_ ? slice : farSide();
@@ -154,30 +148,28 @@ class D2mSystem : public MemorySystem
 
     // ---- metadata paths ---------------------------------------------
     /**
-     * Find (or fetch, case D) the active metadata for the access.
+     * Find (or fetch, case D) the node's MD2 entry for the access.
      * Handles MD2->MD1 promotion and MD1 side migration. Fills
      * @p md_level with 0/1/2 for MD1 / MD2 / MD3-involving lookups.
      */
-    ActiveMd lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
-                            Cycles &lat, unsigned &md_level);
+    Md2Entry &lookupMetadata(NodeId node, const MemAccess &acc, bool side_i,
+                             Cycles &lat, unsigned &md_level);
 
     /** Case D: metadata miss; fetch the region through MD3. */
-    ActiveMd caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
-                   std::uint64_t pregion, Cycles &lat);
+    Md2Entry &caseD(NodeId node, bool side_i, AsId asid, Addr vaddr,
+                    std::uint64_t pregion, Cycles &lat);
 
-    /** Promote a (passive) MD2 entry into MD1 on @p side_i. */
-    Md1Entry &promoteToMd1(NodeId node, bool side_i, AsId asid, Addr vaddr,
-                           Md2Entry &e2);
+    /** Cache @p e2 (not in MD1) in MD1 on @p side_i. */
+    void promoteToMd1(NodeId node, bool side_i, AsId asid, Addr vaddr,
+                      Md2Entry &e2);
 
-    /** Evict one MD1 entry: copy LIs back to its MD2 entry. */
-    void evictMd1Entry(NodeId node, bool side_i, Md1Entry &e1);
+    /** Evict one MD1 entry: clear its MD2 entry's tracking pointer. */
+    void evictMd1Entry(NodeId node, Md1Entry &e1);
 
-    /** Active metadata for a region already known to be tracked. */
-    ActiveMd activeMdFor(NodeId node, std::uint64_t pregion,
-                         bool charge_energy = true);
-
-    /** Set / clear the region's private bit in MD1 and MD2. */
-    void setPrivate(ActiveMd &md, bool value);
+    /** The node's MD2 entry for @p pregion (null when untracked),
+     * charged as a TP follow: MD2, plus MD1 when cached there. */
+    Md2Entry *md2For(NodeId node, std::uint64_t pregion,
+                     bool charge_energy = true);
 
     /** Evict the node's MD2 entry for @p pregion (spill to MD3). */
     void nodeRegionEvict(NodeId node, std::uint64_t pregion);
@@ -202,22 +194,23 @@ class D2mSystem : public MemorySystem
      * line's LocationInfo.
      */
     AccessResult serviceLine(NodeId node, const MemAccess &acc, bool side_i,
-                             ActiveMd md, std::uint64_t pregion,
-                             Addr line_addr, unsigned md_level, Cycles lat);
+                             Md2Entry &md, Addr line_addr, unsigned md_level,
+                             Cycles lat);
 
     /**
      * Fetch line data from its master location on behalf of @p node
      * (cases A/B/D). Charges traffic/energy/latency.
+     * @param scramble the region's scramble, from the requester's MD2.
      * @param invalidate_master also remove the master copy (case B/C).
      */
     std::uint64_t fetchFromMaster(NodeId node, const LocationInfo &master,
-                                  std::uint64_t pregion, Addr line_addr,
+                                  std::uint32_t scramble, Addr line_addr,
                                   bool invalidate_master, Cycles &lat,
                                   ServiceLevel &level, bool &was_mru);
 
     /** Case C: write to a shared region through MD3. */
-    std::uint64_t caseC(NodeId node, ActiveMd &md, std::uint64_t pregion,
-                        Addr line_addr, Cycles &lat);
+    std::uint64_t caseC(NodeId node, Md2Entry &md, Addr line_addr,
+                        Cycles &lat);
 
     /** Install a line into the node's L1, evicting as needed. */
     std::uint32_t installL1(NodeId node, bool side_i, Addr line_addr,
@@ -278,11 +271,11 @@ class D2mSystem : public MemorySystem
      * Invalidate every node-local copy of a line (the L1/L2/own-slice
      * replica chain), leaving the LI pointing at the chain's end.
      */
-    DropResult dropLocalCopies(NodeId node, ActiveMd &md,
+    DropResult dropLocalCopies(NodeId node, Md2Entry &md,
                                unsigned line_idx, Addr line_addr);
 
     /** Read the node-local copy of a line through the LI chain. */
-    std::uint64_t readLocalValue(NodeId node, ActiveMd &md,
+    std::uint64_t readLocalValue(NodeId node, Md2Entry &md,
                                  unsigned line_idx, Addr line_addr,
                                  Cycles &lat);
 

@@ -3,16 +3,16 @@
  * D2M invariant checker (DESIGN.md Section 6).
  *
  * Verifies, over the complete simulator state:
- *  1. Deterministic LI: every LI in active metadata resolves to a
- *     valid slot holding the right line (or a non-cache location).
+ *  1. Deterministic LI: every LI in a node's MD2 or in MD3 resolves
+ *     to a valid slot holding the right line (or a non-cache location).
  *  2. Tracking completeness: every valid data slot is reachable from
- *     some active metadata entry's LI chain.
+ *     some metadata entry's LI chain.
  *  3. Single master per line across all arrays.
  *  4. PB soundness: MD3 PB[n] set <=> node n has a valid MD2 entry.
  *  5. Private exclusivity: a region private in a node has exactly that
  *     node's PB bit set.
- *  6. Inclusion: MD1 subset of MD2; MD2 regions and LLC lines present
- *     in MD3.
+ *  6. Inclusion: every MD1 entry and the MD2 entry it points to name
+ *     each other; MD2 regions and LLC lines present in MD3.
  *
  * All violations are collected (up to a reporting cap), not just the
  * first, so one check of a badly corrupted state names every broken
@@ -81,17 +81,15 @@ D2mSystem::checkInvariants(std::string &why) const
     for (NodeId n = 0; n < params_.numNodes; ++n) {
         const NodeCtx &ctx = nodes_[n];
 
-        // MD1 subset of MD2, and tracking pointers consistent.
+        // MD1 subset of MD2: each MD1 entry's pointer names a valid
+        // MD2 entry whose tracking pointer names that MD1 slot back.
         for (const auto *md1 : {ctx.md1i.get(), ctx.md1d.get()}) {
             md1->forEach([&](const Md1Entry &e1) {
-                const Md2Entry *e2 = ctx.md2->probe(e1.pregion);
-                if (!e2) {
+                if (!linked(n, e1, md2Of(n, e1))) {
                     fail("node " + std::to_string(n) +
-                         ": MD1 entry without MD2 backing");
-                    return;
+                         ": MD1 entry's MD2 pointer names an entry that "
+                         "does not track it back");
                 }
-                if (!e2->activeInMd1)
-                    fail("MD1 entry exists but MD2 claims to be active");
             });
         }
 
@@ -104,17 +102,16 @@ D2mSystem::checkInvariants(std::string &why) const
                      ": MD2 entry without MD3 PB bit");
                 return;
             }
-            // Resolve LIs and the private bit from the active entry
-            // (the MD1 twin when the tracking pointer names one).
-            const Md1Entry *e1 =
-                e2.activeInMd1 ? &trackedMd1(n, e2) : nullptr;
-            const bool priv = e1 ? e1->privateBit : e2.privateBit;
-            if (priv && popCountU64(e3->pb) != 1)
+            if (e2.activeInMd1 && !linked(n, trackedMd1(n, e2), e2)) {
+                fail("node " + std::to_string(n) +
+                     ": MD2 tracking pointer names an MD1 entry that "
+                     "does not point back");
+            }
+            if (e2.privateBit && popCountU64(e3->pb) != 1)
                 fail("private region with multiple PB bits");
-            const LiVector &lis = e1 ? e1->li : e2.li;
             for (unsigned i = 0; i < params_.regionLines; ++i) {
                 const Addr la = regionLine(e2.key, i);
-                LocationInfo li = lis[i];
+                LocationInfo li = e2.li[i];
                 if (li.isInvalid()) {
                     fail("invalid LI in node metadata");
                     continue;

@@ -3,11 +3,11 @@
  * Metadata-store entry layouts for MD1, MD2 and MD3 (paper Figures
  * 1 and 2).
  *
- * An entry covers one region (default 16 cachelines) and holds one
- * LocationInfo per line. Exactly one MD entry per (node, region) is
- * "active" at a time: either the MD1 entry (with the MD2 entry passive
- * and its tracking pointer naming the MD1 slot), or the MD2 entry
- * itself.
+ * A node keeps its metadata for a region in one place, its MD2 entry:
+ * one LocationInfo per line (default 16 cachelines), the P bit and the
+ * scramble. An MD1 entry is a virtually tagged pointer to that MD2
+ * entry. While one exists, the MD2 entry's tracking pointer names it
+ * back, so each of the two names the other (DESIGN.md §7.12).
  */
 
 #ifndef D2M_D2M_MD_ENTRIES_HH
@@ -27,27 +27,27 @@ constexpr unsigned maxRegionLines = 16;
 /** Per-line LI vector stored in every metadata entry. */
 using LiVector = std::array<LocationInfo, maxRegionLines>;
 
-/** First-level metadata entry (virtually tagged; replaces the TLB). */
+/** First-level metadata entry: virtually tagged (it replaces the TLB),
+ * it points to the node's MD2 entry for the region. */
 struct Md1Entry
 {
     bool valid = false;
     std::uint64_t key = 0;      //!< (asid, virtual region) composite.
-    std::uint64_t pregion = 0;  //!< Physical region number (PA field).
-    bool privateBit = false;    //!< P bit (Table II classification).
-    std::uint32_t scramble = 0; //!< Dynamic-indexing value (IV-D).
-    LiVector li{};
+    std::uint32_t md2Set = 0;   //!< Position of the MD2 entry.
+    std::uint32_t md2Way = 0;
 };
 
-/** Second-level metadata entry (physically tagged). */
+/** Second-level metadata entry (physically tagged): the node's one
+ * copy of its metadata for the region. */
 struct Md2Entry
 {
     bool valid = false;
     std::uint64_t key = 0;      //!< Physical region number.
-    bool privateBit = false;
-    std::uint32_t scramble = 0;
-    LiVector li{};              //!< Stale while an MD1 entry is active.
+    bool privateBit = false;    //!< P bit (Table II classification).
+    std::uint32_t scramble = 0; //!< Dynamic-indexing value (IV-D).
+    LiVector li{};
 
-    // Tracking pointer: where the active MD1 entry lives, if any.
+    // Tracking pointer: the MD1 entry that points here, if any.
     bool activeInMd1 = false;
     bool md1SideI = false;      //!< MD1-I vs MD1-D (paper footnote 2).
     std::uint32_t md1Set = 0;

@@ -9,8 +9,8 @@
  * (master lines) or the master location (replicas).
  *
  * The stored lineAddr models the hardware tracking pointer (TP): real
- * hardware follows TP to the active MD entry; the simulator finds the
- * same entry by region lookup and charges the same energy.
+ * hardware follows TP to the region's metadata; the simulator finds the
+ * node's MD2 entry by region lookup and charges the same energy.
  */
 
 #ifndef D2M_D2M_TAGLESS_CACHE_HH

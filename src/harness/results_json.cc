@@ -15,9 +15,11 @@ namespace d2m
 namespace
 {
 
-/** Rows collected by this process, in document order. */
-std::vector<std::string> collectedRuns;
-std::mutex runsMutex;  //!< Guards collectedRuns and the file.
+std::mutex docMutex;  //!< Guards the document file and its state below.
+/** Offset just past the document's last row (past its header while it
+ * has none); -1 before this process's first export. */
+long docRowsEnd = -1;
+bool docHasRows = false;
 
 void
 appendField(std::ostringstream &os, const char *key, double v, bool &first)
@@ -178,28 +180,35 @@ buildFailureRow(const Metrics &m)
 }
 
 void
-exportRowsJson(std::vector<std::string> rows)
+exportRowsJson(const std::vector<std::string> &rows)
 {
     const std::string &path = resultsJsonPath();
     if (path.empty())
         return;
 
-    std::lock_guard<std::mutex> lock(runsMutex);
-    for (std::string &row : rows) {
-        if (!row.empty())
-            collectedRuns.push_back(std::move(row));
-    }
-    std::FILE *f = std::fopen(path.c_str(), "w");
+    std::lock_guard<std::mutex> lock(docMutex);
+    // The first export creates the document. Later ones write their
+    // rows over its trailer and end with a new one, which is never
+    // shorter, so the file is a complete document after every export.
+    std::FILE *f = std::fopen(path.c_str(), docRowsEnd < 0 ? "w" : "r+");
     if (!f) {
         warn_once("cannot open D2M_STATS_JSON file '%s'", path.c_str());
         return;
     }
-    std::fputs("{\"runs\":[\n", f);
-    for (std::size_t i = 0; i < collectedRuns.size(); ++i) {
-        std::fputs(collectedRuns[i].c_str(), f);
-        std::fputs(i + 1 < collectedRuns.size() ? ",\n" : "\n", f);
+    if (docRowsEnd < 0)
+        std::fputs("{\"runs\":[\n", f);
+    else
+        std::fseek(f, docRowsEnd, SEEK_SET);
+    for (const std::string &row : rows) {
+        if (row.empty())
+            continue;
+        if (docHasRows)
+            std::fputs(",\n", f);
+        std::fputs(row.c_str(), f);
+        docHasRows = true;
     }
-    std::fputs("]}\n", f);
+    docRowsEnd = std::ftell(f);
+    std::fputs(docHasRows ? "\n]}\n" : "]}\n", f);
     std::fclose(f);
 }
 

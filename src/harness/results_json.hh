@@ -10,9 +10,11 @@
  *                 "metrics": { ... }, "stats": { ... } }, ... ] }
  *
  * The file is written once per runSweep() (after its pool drains, rows
- * in grid order) and once per runOne(), each time with every row the
- * process has collected so far. A drained sweep (first SIGINT/SIGTERM)
- * still writes its finished rows. After a SIGKILL or a forced second
+ * in grid order) and once per runOne(). The first write creates the
+ * document; each later one writes its rows over the closing trailer
+ * and ends with a new one, so the file always holds every row the
+ * process has exported. A drained sweep (first SIGINT/SIGTERM) still
+ * writes its finished rows. After a SIGKILL or a forced second
  * signal the sweep's rows are lost from the document, but its finished
  * cells are in the result store (D2M_STORE_DIR), and resuming the sweep
  * rebuilds the document from it.
@@ -64,11 +66,12 @@ std::string buildFailureRow(const Metrics &m);
 
 /**
  * Append prebuilt rows (from buildRunRow / buildFailureRow / the
- * result store), in order, to the process's collected document and
- * write D2M_STATS_JSON once. Empty rows (cells that left none) are
- * skipped. No-op when the variable is unset. Thread-safe.
+ * result store), in order, to the process's D2M_STATS_JSON document,
+ * writing only those rows and the trailer. Empty rows (cells that
+ * left none) are skipped. No-op when the variable is unset.
+ * Thread-safe.
  */
-void exportRowsJson(std::vector<std::string> rows);
+void exportRowsJson(const std::vector<std::string> &rows);
 
 /** The D2M_STATS_JSON path ("" when disabled). */
 const std::string &resultsJsonPath();

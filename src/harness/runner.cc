@@ -522,7 +522,7 @@ runSweep(const std::vector<ConfigKind> &configs,
             pool.submit([&, i] { executeCell(i, /*parallel=*/true); });
         pool.wait();
     }
-    exportRowsJson(std::move(docRows));
+    exportRowsJson(docRows);
 
     outcome.executed = nExecuted.load();
     outcome.ok += nOk.load();

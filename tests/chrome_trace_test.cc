@@ -68,15 +68,17 @@ validateSchema(const json::Value &doc)
         EXPECT_FALSE(e["pid"].isNull());
         EXPECT_FALSE(e["tid"].isNull());
         EXPECT_FALSE(e["ts"].isNull());
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_FALSE(e["dur"].isNull());
+        }
         if (ph == "M")
             continue;  // metadata pseudo-events all carry ts 0
         const auto key =
             std::make_pair(e["pid"].asNumber(), e["tid"].asNumber());
         const auto it = last_ts.find(key);
-        if (it != last_ts.end())
+        if (it != last_ts.end()) {
             EXPECT_GE(e["ts"].asNumber(), it->second);
+        }
         last_ts[key] = e["ts"].asNumber();
     }
 }

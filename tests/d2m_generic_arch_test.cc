@@ -46,8 +46,9 @@ TEST(D2mWithL2, L1VictimsMoveToL2Locally)
     // Re-reading it is a local L2 hit, no interconnect traffic.
     const AccessResult res = run(sys, 0, load(base));
     EXPECT_EQ(res.loadValue, 0u);
-    if (res.l1Miss)
+    if (res.l1Miss) {
         EXPECT_EQ(res.level, ServiceLevel::L2);
+    }
     EXPECT_EQ(sys.noc().totalMessages.value(), msgs);
     EXPECT_TRUE(test::invariantReport(sys).empty());
 }

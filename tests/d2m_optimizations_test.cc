@@ -142,8 +142,9 @@ TEST(NsLlcR, InstructionsReplicateIntoLocalSlice)
     for (unsigned i = 1; i < 10; ++i)
         run(*sys, 1, ifetch(base + i * l1SetStride));
     const AccessResult res = run(*sys, 1, ifetch(base));
-    if (res.l1Miss)
+    if (res.l1Miss) {
         EXPECT_EQ(res.level, ServiceLevel::LLC_NEAR);
+    }
     EXPECT_TRUE(test::invariantReport(*sys).empty());
 }
 

@@ -11,6 +11,7 @@
  *  4. PB soundness              -> "PB bit set for node without MD2"
  *  5. Private exclusivity       -> "private region with multiple PB"
  *  6. Inclusion (MD2/MD3)       -> "without MD2" / "MD3"
+ *     MD1 pointer               -> "MD1 entry's MD2 pointer"
  */
 
 #include <gtest/gtest.h>
@@ -38,22 +39,33 @@ struct D2mTestPeer
     corruptNodeLi(NodeId node, std::uint64_t pregion, unsigned idx,
                   LocationInfo li)
     {
-        D2mSystem::ActiveMd amd =
-            sys.activeMdFor(node, pregion, /*charge_energy=*/false);
-        if (!amd.tracked())
+        Md2Entry *e2 = sys.md2For(node, pregion, /*charge_energy=*/false);
+        if (!e2)
             return false;
-        amd.li()[idx] = li;
+        e2->li[idx] = li;
         return true;
     }
 
     bool
     corruptPrivateBit(NodeId node, std::uint64_t pregion, bool value)
     {
-        D2mSystem::ActiveMd amd =
-            sys.activeMdFor(node, pregion, /*charge_energy=*/false);
-        if (!amd.tracked())
+        Md2Entry *e2 = sys.md2For(node, pregion, /*charge_energy=*/false);
+        if (!e2)
             return false;
-        (amd.md1 ? amd.md1->privateBit : amd.md2->privateBit) = value;
+        e2->privateBit = value;
+        return true;
+    }
+
+    /** Point the MD1 entry that caches @p pregion at the next way of
+     * its MD2 set, leaving the MD2 tracking pointer as it was. */
+    bool
+    redirectMd1Pointer(NodeId node, std::uint64_t pregion)
+    {
+        Md2Entry *e2 = sys.md2For(node, pregion, /*charge_energy=*/false);
+        if (!e2 || !e2->activeInMd1)
+            return false;
+        Md1Entry &e1 = sys.trackedMd1(node, *e2);
+        e1.md2Way = (e1.md2Way + 1) % sys.nodes_[node].md2->assoc();
         return true;
     }
 
@@ -244,6 +256,19 @@ TEST(InvariantNegative, InclusionMd2Dropped)
     ASSERT_TRUE(f.peer.dropMd2Entry(0, test::pregionOf(*f.sys, va)));
     const std::string why = test::invariantReport(*f.sys);
     EXPECT_NE(why.find("without MD2"), std::string::npos) << why;
+}
+
+TEST(InvariantNegative, Md1PointerNamesForeignMd2Entry)
+{
+    Fixture f;
+    const Addr va = 0x1000;
+    test::run(*f.sys, 0, test::store(va, 1));
+    ASSERT_TRUE(f.peer.redirectMd1Pointer(0, test::pregionOf(*f.sys, va)));
+    const std::string why = test::invariantReport(*f.sys);
+    EXPECT_NE(why.find("node 0: MD1 entry's MD2 pointer names an entry "
+                       "that does not track it back"),
+              std::string::npos)
+        << why;
 }
 
 TEST(InvariantNegative, InclusionMd3Dropped)

@@ -39,21 +39,6 @@ TEST(Stats, GroupHierarchyPaths)
     EXPECT_EQ(grand.fullStatPath(), "system.node0.l1d");
 }
 
-TEST(Stats, PrintIncludesAllStats)
-{
-    StatGroup root("sys");
-    StatGroup child("noc", &root);
-    Counter a(&root, "accesses", "total accesses");
-    Counter b(&child, "messages", "noc messages");
-    ++a;
-    b += 3;
-    std::ostringstream oss;
-    root.printStats(oss);
-    const std::string out = oss.str();
-    EXPECT_NE(out.find("sys.accesses 1"), std::string::npos);
-    EXPECT_NE(out.find("sys.noc.messages 3"), std::string::npos);
-}
-
 TEST(Stats, SnapshotValueIsMonotonicCountAndResets)
 {
     StatGroup root("root");

@@ -2,8 +2,8 @@
  * @file
  * Durable result store: record round-trips, last-record-wins
  * reloads, torn-line tolerance, records of the previous format, and
- * run-key stability/uniqueness (DESIGN.md §12). Also when a sweep
- * writes the D2M_STATS_JSON document it replays stored rows into.
+ * run-key stability/uniqueness (DESIGN.md §12). Also when a sweep or a
+ * runOne() call writes the D2M_STATS_JSON document.
  */
 
 #include <gtest/gtest.h>
@@ -347,6 +347,49 @@ TEST(StatsDocument, WrittenOnceAfterTheSweep)
     ASSERT_TRUE(json::parse(readFile(json), doc, err)) << err;
     ASSERT_EQ(doc["runs"].array.size(), 3u);
     EXPECT_EQ(doc["runs"].array[0]["config"].asString(), "Base-2L");
+    EXPECT_EQ(doc["runs"].array[2]["config"].asString(), "D2M-FS");
+    std::remove(json.c_str());
+}
+
+TEST(StatsDocument, RunOneAppendsRowsInCallOrder)
+{
+    ::unsetenv("D2M_STORE_DIR");
+    const std::string json = testing::TempDir() + "stats_run_one.json";
+    std::remove(json.c_str());
+
+    // The child forks before D2M_STATS_JSON is first read (it is
+    // latched) and exits 9 unless the document parses after each call
+    // and holds one row per call so far.
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::setenv("D2M_STATS_JSON", json.c_str(), 1);
+        SweepOptions opts;
+        opts.verbose = false;
+        opts.warmupInstsPerCore = 500;
+        std::size_t calls = 0;
+        for (ConfigKind kind :
+             {ConfigKind::Base2L, ConfigKind::Base3L, ConfigKind::D2mFs}) {
+            runOne(kind, testWorkload(), opts);
+            json::Value doc;
+            std::string err;
+            if (!json::parse(readFile(json), doc, err) ||
+                doc["runs"].array.size() != ++calls)
+                std::_Exit(9);
+        }
+        std::_Exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_EQ(WEXITSTATUS(status), 0)
+        << "the document was incomplete after a runOne call";
+
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::parse(readFile(json), doc, err)) << err;
+    ASSERT_EQ(doc["runs"].array.size(), 3u);
+    EXPECT_EQ(doc["runs"].array[0]["config"].asString(), "Base-2L");
+    EXPECT_EQ(doc["runs"].array[1]["config"].asString(), "Base-3L");
     EXPECT_EQ(doc["runs"].array[2]["config"].asString(), "D2M-FS");
     std::remove(json.c_str());
 }

@@ -106,8 +106,9 @@ TEST(Synthetic, StoreValuesUniquePerCore)
     for (auto *s : {&s0, &s1}) {
         MemAccess a;
         while (s->next(a)) {
-            if (a.type == AccessType::STORE)
+            if (a.type == AccessType::STORE) {
                 EXPECT_TRUE(values.insert(a.storeValue).second);
+            }
         }
     }
 }
@@ -139,8 +140,9 @@ TEST(Synthetic, StridedPatternStridesPhysically)
     SyntheticStream s(p, 0, 64);
     std::map<Addr, unsigned> hits;
     for (const auto &a : drain(s)) {
-        if (a.type != AccessType::IFETCH)
+        if (a.type != AccessType::IFETCH) {
             EXPECT_EQ(a.vaddr % p.strideBytes, 0u);
+        }
     }
 }
 
@@ -186,10 +188,12 @@ TEST(Suites, CharacteristicsMatchTableIVOrdering)
         if (wl.suite == "parallel")
             parallel_code =
                 std::max(parallel_code, wl.params.codeFootprint);
-        if (wl.suite == "server")
+        if (wl.suite == "server") {
             EXPECT_TRUE(wl.params.disjointAsids);
-        if (wl.name == "lu")
+        }
+        if (wl.name == "lu") {
             EXPECT_TRUE(wl.params.stridedPattern);
+        }
     }
     EXPECT_GT(db_code, mobile_code);
     EXPECT_GT(mobile_code, parallel_code);
