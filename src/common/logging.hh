@@ -71,11 +71,11 @@ void runAbortFlushHooks();
 
 /**
  * Install SIGINT/SIGTERM handlers that run the crash hooks (flushing
- * the trace sink; interval CSVs are flushed per row already) and then
- * re-raise the signal with its default disposition, so signal-driven
- * shutdown keeps the process's observable exit status while leaving
- * debuggable traces behind. Idempotent; never clobbers a non-default
- * handler someone else installed first (e.g. the sweep drain handler).
+ * the trace sink) and then re-raise the signal with its default
+ * disposition, so signal-driven shutdown keeps the process's
+ * observable exit status while leaving debuggable traces behind.
+ * Idempotent; never clobbers a non-default handler someone else
+ * installed first (e.g. the sweep drain handler).
  */
 void installSignalFlushHandlers();
 

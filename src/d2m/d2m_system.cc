@@ -37,10 +37,8 @@ D2mSystem::D2mSystem(std::string name, const SystemParams &params)
       regionShift_(params.regionShift()),
       regionLinesLog_(floorLog2(params.regionLines)),
       nearSide_(params.nearSideLlc),
-      codec_(params.numNodes, params.nearSideLlc ? params.numNodes : 1,
-             params.nearSideLlc ? params.llc.assoc / params.numNodes
-                                : params.llc.assoc),
-      placement_(params.nearSideLlc ? params.numNodes : 1,
+      codec_(params),
+      placement_(llcSlices(params),
                  params.nsRemoteAllocShare, params.seed ^ 0x9157ull),
       scrambler_(params.dynamicIndexing, params.seed ^ 0xd2d2d2d2ull),
       stats_("hier", this),

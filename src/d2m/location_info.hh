@@ -21,9 +21,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
+#include "common/params.hh"
 #include "common/types.hh"
 
 namespace d2m
@@ -77,21 +79,44 @@ struct LocationInfo
     }
 };
 
+/** LLC slices of a D2M system: one per node near-side, else one. */
+inline unsigned
+llcSlices(const SystemParams &p)
+{
+    return p.nearSideLlc ? p.numNodes : 1;
+}
+
 /**
- * Can the 6-bit LI code name every location of a system with
- * @p num_nodes nodes and @p llc_slices LLC slices of @p llc_ways ways?
- * LiCodec enforces this at construction, and the sweep planner calls
- * it to reject impossible configurations before any cell runs.
+ * Can the 6-bit LI code name every location of the D2M system @p p
+ * describes: its nodes, the ways of its L1-I, L1-D and L2 (when
+ * present), and its LLC slices and ways? LiCodec enforces this at
+ * construction, and the sweep planner calls it to reject impossible
+ * configurations before any cell runs.
  * @return an empty string if it can, else the limit that is exceeded.
  */
 inline std::string
-liEncodingError(unsigned num_nodes, unsigned llc_slices, unsigned llc_ways)
+liEncodingError(const SystemParams &p)
 {
-    if (num_nodes > 8)
-        return "LI encoding supports at most 8 nodes";
-    if (llc_slices * llc_ways > 32)
-        return "LI encoding supports at most 32 total LLC ways";
-    if (!isPowerOf2(llc_slices) || !isPowerOf2(llc_ways))
+    if (p.numNodes > 8) {
+        return vformat("LI encoding supports at most 8 nodes, not %u",
+                       p.numNodes);
+    }
+    // 001WWW and 010WWW: three way bits for each local cache.
+    const std::pair<const char *, const CacheParams *> local[] = {
+        {"L1-I", &p.l1i}, {"L1-D", &p.l1d}, {"L2", &p.l2}};
+    for (const auto &[name, cache] : local) {
+        if (cache->present() && cache->assoc > 8) {
+            return vformat("LI encoding supports at most 8 %s ways, "
+                           "not %u", name, cache->assoc);
+        }
+    }
+    const unsigned slices = llcSlices(p);
+    const unsigned ways = p.llc.assoc / slices;
+    if (slices * ways > 32) {
+        return vformat("LI encoding supports at most 32 total LLC ways, "
+                       "not %u", slices * ways);
+    }
+    if (!isPowerOf2(slices) || !isPowerOf2(ways))
         return "LLC slices and ways must be powers of two";
     return {};
 }
@@ -100,18 +125,14 @@ liEncodingError(unsigned num_nodes, unsigned llc_slices, unsigned llc_ways)
 class LiCodec
 {
   public:
-    /**
-     * @param num_nodes   nodes in the system (<= 8 for 3 NNN bits)
-     * @param llc_slices  1 for a far-side LLC, num_nodes for NS-LLC
-     * @param llc_ways    ways per slice; slices * ways <= 32
-     */
-    LiCodec(unsigned num_nodes, unsigned llc_slices, unsigned llc_ways)
-        : slices_(llc_slices), sliceWays_(llc_ways)
+    /** The code of the D2M system @p p describes; fatal() when the
+     * code cannot name all of its locations (liEncodingError). */
+    explicit LiCodec(const SystemParams &p)
+        : slices_(llcSlices(p)), sliceWays_(p.llc.assoc / slices_)
     {
-        const std::string why =
-            liEncodingError(num_nodes, llc_slices, llc_ways);
+        const std::string why = liEncodingError(p);
         fatal_if(!why.empty(), "%s", why.c_str());
-        wayBits_ = llc_ways > 1 ? floorLog2(llc_ways) : 0;
+        wayBits_ = sliceWays_ > 1 ? floorLog2(sliceWays_) : 0;
     }
 
     /** Encode @p li into its 6-bit representation. */

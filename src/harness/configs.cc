@@ -70,11 +70,8 @@ configError(ConfigKind kind, const SystemParams &base)
         return {};
       case ConfigKind::D2mFs:
       case ConfigKind::D2mNs:
-      case ConfigKind::D2mNsR: {
-        const SystemParams p = paramsFor(kind, base);
-        const unsigned slices = p.nearSideLlc ? p.numNodes : 1;
-        return liEncodingError(p.numNodes, slices, p.llc.assoc / slices);
-      }
+      case ConfigKind::D2mNsR:
+        return liEncodingError(paramsFor(kind, base));
     }
     return {};
 }

@@ -73,7 +73,12 @@ std::string buildFailureRow(const Metrics &m);
  */
 void exportRowsJson(const std::vector<std::string> &rows);
 
-/** The D2M_STATS_JSON path ("" when disabled). */
+/**
+ * The D2M_STATS_JSON path ("" when disabled). The variable is read once
+ * per process, at the first call, because the document's write offset
+ * belongs to that one file: a process that needs another document forks
+ * a child before its first sweep.
+ */
 const std::string &resultsJsonPath();
 
 } // namespace d2m

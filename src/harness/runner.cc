@@ -28,15 +28,9 @@ namespace
 /** Drain signals received (noteDrainSignal()); sweep cells poll it. */
 std::atomic<int> drainSignals{0};
 
-/** Sweep cells planned by this process so far. Numbers the per-run
- * interval CSVs, so a later sweep never overwrites an earlier one's. */
-std::atomic<std::uint64_t> sweepCells{0};
-
 /** Per-run plumbing that the sweep drives but a single run doesn't. */
 struct RunContext
 {
-    /** Suffix for per-job observability files ("" = plain names). */
-    std::string obsSuffix;
     /** When non-null, messages buffer here instead of stderr so a
      * parallel job's output flushes as one contiguous block. */
     std::string *log = nullptr;
@@ -45,26 +39,7 @@ struct RunContext
     std::string *rowOut = nullptr;
     /** Drain counter the run loop polls (null = not cancellable). */
     const std::atomic<int> *cancel = nullptr;
-    /** Full replacement for the D2M_INTERVAL_CSV path ("" = use the
-     * configured path as-is). Multi-cell sweeps pass "iv.<slot>.csv"
-     * style names so every run keeps its interval rows. */
-    std::string intervalCsv;
 };
-
-/** "<stem>.<slot>.<ext>" for @p path — "iv.csv" + slot 7 = "iv.7.csv"
- * (no extension: append ".<slot>"). */
-std::string
-perRunCsvPath(const std::string &path, std::uint64_t slot)
-{
-    const std::size_t slash = path.find_last_of('/');
-    const std::size_t dot = path.find_last_of('.');
-    const std::string tag = "." + std::to_string(slot);
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash)) {
-        return path + tag;
-    }
-    return path.substr(0, dot) + tag + path.substr(dot);
-}
 
 double
 unixNow()
@@ -96,11 +71,10 @@ runOneImpl(ConfigKind kind, const NamedWorkload &wl,
     RunOptions ropts = opts.runOptions;
     ropts.warmupInstsPerCore = len.warmup;
     ropts.cancel = ctx.cancel;
-    // Per-run interval stats (D2M_INTERVAL_INSTS / _TICKS / _CSV):
-    // the snapshotter attaches to this system's stats tree and rides
-    // through RunOptions, so concurrent runs never share one.
-    auto snapshotter = obs::StatSnapshotter::fromEnv(*system,
-                                                     ctx.intervalCsv);
+    // Per-run interval stats (D2M_INTERVAL_INSTS): the snapshotter
+    // attaches to this system's stats tree and rides through
+    // RunOptions, so concurrent runs never share one.
+    auto snapshotter = obs::StatSnapshotter::fromEnv(*system);
     ropts.snapshotter = snapshotter.get();
     // Per-run self-profiler (D2M_SELFPROF): one instance per run,
     // built here because it samples the thread that runs the loop.
@@ -132,9 +106,7 @@ runOneImpl(ConfigKind kind, const NamedWorkload &wl,
  * == 0) stays serial when a single-file trace output is configured
  * and D2M_JOBS doesn't explicitly override — an existing
  * `D2M_TRACE_FILE=t.jsonl ./d2m_sweep` invocation keeps producing
- * exactly the file it always did. Interval CSVs no longer force
- * serial: multi-cell sweeps write per-run "iv.<slot>.csv" files
- * whether serial or parallel.
+ * exactly the file it always did.
  */
 unsigned
 resolveJobs(const SweepOptions &opts, std::size_t total)
@@ -319,9 +291,8 @@ runSweep(const std::vector<ConfigKind> &configs,
     const SystemParams base = resolveBaseParams(opts);
     for (ConfigKind kind : configs) {
         const std::string why = configError(kind, base);
-        fatal_if(!why.empty(), "%s=%u: config %s cannot be built: %s",
-                 envU64("D2M_NODES", 0) ? "D2M_NODES" : "numNodes",
-                 base.numNodes, configKindName(kind), why.c_str());
+        fatal_if(!why.empty(), "config %s cannot be built: %s",
+                 configKindName(kind), why.c_str());
     }
 
     struct JobSpec
@@ -341,7 +312,6 @@ runSweep(const std::vector<ConfigKind> &configs,
     std::vector<Metrics> rows(specs.size());
     if (specs.empty())
         return rows;
-    const std::uint64_t firstCell = sweepCells.fetch_add(specs.size());
 
     const bool resume = envU64("D2M_RESUME", 1) != 0;
     auto store = ResultStore::fromEnv();
@@ -349,14 +319,6 @@ runSweep(const std::vector<ConfigKind> &configs,
     // cell leaves none), written once after the pool drains.
     std::vector<std::string> docRows(specs.size());
     const bool keepRows = store || !resultsJsonPath().empty();
-
-    // Per-run interval CSVs: any sweep of more than one cell writes
-    // "iv.<slot>.csv"-style files so no run overwrites another's rows
-    // (a single-cell sweep keeps the configured path byte-for-byte).
-    std::string intervalCsvBase;
-    if (const char *csv = std::getenv("D2M_INTERVAL_CSV"); csv && *csv)
-        intervalCsvBase = csv;
-    const bool perRunCsv = !intervalCsvBase.empty() && specs.size() > 1;
 
     SweepOutcome outcome;
     outcome.total = specs.size();
@@ -409,22 +371,18 @@ runSweep(const std::vector<ConfigKind> &configs,
         obs::TraceSink *prevSink = nullptr;
         if (parallel) {
             ctx.log = &log;
-            // Per-job observability files: job N of this sweep writes
-            // <path>.jobN so concurrent runs never share a sink.
-            ctx.obsSuffix = ".job" + std::to_string(i);
             // Heartbeat / progress / warning lines from this pool
             // thread carry the cell's job tag so interleaved output
             // stays attributable.
             setThreadLogPrefix("[job" + std::to_string(i) + "] ");
+            // Per-job trace files: job N of this sweep writes
+            // <path>.jobN so concurrent runs never share a sink.
             if (!obs::traceFilePath().empty()) {
                 sink = std::make_unique<obs::TraceSink>(
-                    obs::traceFilePath() + ctx.obsSuffix,
-                    obs::traceBufCapacity());
+                    obs::traceFilePath() + ".job" + std::to_string(i));
                 prevSink = obs::setGlobalSink(sink.get());
             }
         }
-        if (perRunCsv)
-            ctx.intervalCsv = perRunCsvPath(intervalCsvBase, firstCell + i);
         std::string row;
         if (keepRows)
             ctx.rowOut = &row;

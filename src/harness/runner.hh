@@ -40,9 +40,7 @@ struct SweepOptions
      * when a single-file trace output is configured (D2M_TRACE_FILE,
      * whose file name stays byte-compatible that way), else the
      * hardware thread count. With jobs > 1 and tracing enabled, each
-     * run writes <trace>.job<N> instead. Interval CSVs are per-run
-     * for any multi-cell sweep ("iv.csv" becomes "iv.<slot>.csv"),
-     * serial or parallel, so no run overwrites another's rows.
+     * run writes <trace>.job<N> instead.
      */
     unsigned jobs = 0;
     RunOptions runOptions{};

@@ -1,7 +1,5 @@
 #include "obs/snapshot.hh"
 
-#include <cstdlib>
-
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
@@ -28,69 +26,25 @@ flatten(const stats::StatGroup &g,
 
 } // namespace
 
-StatSnapshotter::StatSnapshotter(stats::StatGroup &root, Config cfg)
-    : cfg_(std::move(cfg))
+StatSnapshotter::StatSnapshotter(stats::StatGroup &root,
+                                 std::uint64_t every_insts)
+    : everyInsts_(every_insts), nextBoundary_(every_insts)
 {
-    fatal_if(cfg_.everyInsts == 0 && cfg_.everyTicks == 0,
-             "StatSnapshotter needs an instruction or tick interval");
+    fatal_if(everyInsts_ == 0,
+             "StatSnapshotter needs an instruction interval");
     flatten(root, paths_, stats_);
     baseline_.assign(stats_.size(), 0);
     for (std::size_t i = 0; i < stats_.size(); ++i)
         baseline_[i] = stats_[i]->snapshotValue();
-    nextInstBoundary_ = cfg_.everyInsts;
-    nextTickBoundary_ = cfg_.everyTicks;
-    if (!cfg_.csvPath.empty()) {
-        csv_ = std::fopen(cfg_.csvPath.c_str(), "w");
-        fatal_if(!csv_, "cannot open D2M_INTERVAL_CSV file \"%s\"",
-                 cfg_.csvPath.c_str());
-        std::fputs("idx,warmup,start_insts,end_insts,start_tick,end_tick",
-                   csv_);
-        for (const std::string &p : paths_)
-            std::fprintf(csv_, ",%s", p.c_str());
-        std::fputc('\n', csv_);
-    }
-}
-
-StatSnapshotter::~StatSnapshotter()
-{
-    if (csv_)
-        std::fclose(csv_);
 }
 
 std::unique_ptr<StatSnapshotter>
-StatSnapshotter::fromEnv(stats::StatGroup &root,
-                         const std::string &csv_override)
+StatSnapshotter::fromEnv(stats::StatGroup &root)
 {
-    Config cfg;
-    cfg.everyInsts = envU64("D2M_INTERVAL_INSTS", 0);
-    cfg.everyTicks = envU64("D2M_INTERVAL_TICKS", 0);
-    if (const char *csv = std::getenv("D2M_INTERVAL_CSV"); csv && *csv)
-        cfg.csvPath = csv_override.empty() ? csv : csv_override;
-    if (cfg.everyInsts == 0 && cfg.everyTicks == 0) {
-        fatal_if(!cfg.csvPath.empty(),
-                 "D2M_INTERVAL_CSV requires D2M_INTERVAL_INSTS or "
-                 "D2M_INTERVAL_TICKS");
+    const std::uint64_t every = envU64("D2M_INTERVAL_INSTS", 0);
+    if (every == 0)
         return nullptr;
-    }
-    return std::make_unique<StatSnapshotter>(root, std::move(cfg));
-}
-
-void
-StatSnapshotter::writeCsvRow(const IntervalRow &row)
-{
-    if (!csv_)
-        return;
-    std::fprintf(csv_, "%llu,%u,%llu,%llu,%llu,%llu",
-                 static_cast<unsigned long long>(row.idx),
-                 row.warmup ? 1u : 0u,
-                 static_cast<unsigned long long>(row.startInsts),
-                 static_cast<unsigned long long>(row.endInsts),
-                 static_cast<unsigned long long>(row.startTick),
-                 static_cast<unsigned long long>(row.endTick));
-    for (std::uint64_t d : row.deltas)
-        std::fprintf(csv_, ",%llu", static_cast<unsigned long long>(d));
-    std::fputc('\n', csv_);
-    std::fflush(csv_);
+    return std::make_unique<StatSnapshotter>(root, every);
 }
 
 void
@@ -121,7 +75,6 @@ StatSnapshotter::closeInterval(std::uint64_t insts, Tick now,
     row.endInsts = insts;
     row.startTick = startTick_;
     row.endTick = now;
-    writeCsvRow(row);
     rows_.push_back(std::move(row));
     startInsts_ = insts;
     startTick_ = now;
@@ -130,17 +83,13 @@ StatSnapshotter::closeInterval(std::uint64_t insts, Tick now,
 void
 StatSnapshotter::tick(std::uint64_t insts, Tick now)
 {
-    const bool inst_due = cfg_.everyInsts && insts >= nextInstBoundary_;
-    const bool tick_due = cfg_.everyTicks && now >= nextTickBoundary_;
-    if (!inst_due && !tick_due)
+    if (insts < nextBoundary_)
         return;
     closeInterval(insts, now, /*rearm_zero=*/false);
     // Advance past the current position so a burst that crosses
     // several boundaries at once yields one covering row.
-    while (cfg_.everyInsts && nextInstBoundary_ <= insts)
-        nextInstBoundary_ += cfg_.everyInsts;
-    while (cfg_.everyTicks && nextTickBoundary_ <= now)
-        nextTickBoundary_ += cfg_.everyTicks;
+    while (nextBoundary_ <= insts)
+        nextBoundary_ += everyInsts_;
 }
 
 void

@@ -5,11 +5,9 @@
  * A StatSnapshotter walks a StatGroup tree once at attach time,
  * flattening every statistic to its full dotted path, then snapshots
  * all counters each time the run crosses an interval boundary (every
- * N committed instructions and/or every K ticks) and emits the
- * per-interval deltas as IntervalRow records. The harness embeds the
- * rows as an "intervals" array in the D2M_STATS_JSON document and can
- * mirror them to a CSV file (D2M_INTERVAL_CSV) for spreadsheet /
- * pandas consumption.
+ * N committed instructions) and emits the per-interval deltas as
+ * IntervalRow records. The harness embeds the rows as an "intervals"
+ * array in the D2M_STATS_JSON document.
  *
  * Interval semantics (DESIGN.md Section 10):
  *  - Rows carry absolute [start, end] instruction and tick stamps.
@@ -29,7 +27,6 @@
 #define D2M_OBS_SNAPSHOT_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,31 +54,17 @@ struct IntervalRow
 class StatSnapshotter
 {
   public:
-    struct Config
-    {
-        std::uint64_t everyInsts = 0;  //!< Interval in instructions (0 = off).
-        std::uint64_t everyTicks = 0;  //!< Interval in ticks (0 = off).
-        std::string csvPath;           //!< Optional CSV mirror ("" = off).
-    };
-
-    /** Attach to @p root; the stat set is frozen at this point. */
-    StatSnapshotter(stats::StatGroup &root, Config cfg);
-    ~StatSnapshotter();
+    /** Attach to @p root, closing an interval every @p every_insts
+     * committed instructions (> 0); the stat set is frozen here. */
+    StatSnapshotter(stats::StatGroup &root, std::uint64_t every_insts);
 
     StatSnapshotter(const StatSnapshotter &) = delete;
     StatSnapshotter &operator=(const StatSnapshotter &) = delete;
 
-    /**
-     * Build a snapshotter from D2M_INTERVAL_INSTS / D2M_INTERVAL_TICKS
-     * / D2M_INTERVAL_CSV, or null when interval stats are disabled.
-     * D2M_INTERVAL_CSV without a period is a fatal config error.
-     * A non-empty @p csv_override replaces the D2M_INTERVAL_CSV path —
-     * the sweep runner passes "iv.<slot>.csv"-style per-run names so
-     * every cell of a multi-run sweep keeps its interval rows (a lone
-     * run keeps the configured path byte-for-byte).
-     */
+    /** Build a snapshotter with the D2M_INTERVAL_INSTS period, or
+     * null when that is unset or 0 (interval stats disabled). */
     static std::unique_ptr<StatSnapshotter>
-    fromEnv(stats::StatGroup &root, const std::string &csv_override = "");
+    fromEnv(stats::StatGroup &root);
 
     /** Progress hook; closes an interval when a boundary is crossed. */
     void tick(std::uint64_t insts, Tick now);
@@ -105,9 +88,8 @@ class StatSnapshotter
 
   private:
     void closeInterval(std::uint64_t insts, Tick now, bool rearm_zero);
-    void writeCsvRow(const IntervalRow &row);
 
-    Config cfg_;
+    std::uint64_t everyInsts_;
     std::vector<std::string> paths_;
     std::vector<const stats::StatBase *> stats_;
     std::vector<std::uint64_t> baseline_;
@@ -116,9 +98,7 @@ class StatSnapshotter
     std::uint64_t nextIdx_ = 0;
     std::uint64_t startInsts_ = 0;
     Tick startTick_ = 0;
-    std::uint64_t nextInstBoundary_ = 0;  //!< 0 = inst trigger off.
-    Tick nextTickBoundary_ = 0;           //!< 0 = tick trigger off.
-    std::FILE *csv_ = nullptr;
+    std::uint64_t nextBoundary_ = 0;  //!< Instruction count of the next close.
 };
 
 // There is deliberately NO global snapshotter hook: each run carries

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "noc/message.hh"
 #include "obs/json.hh"
@@ -17,10 +16,9 @@ constinit thread_local Tick curTick = 0;
 namespace
 {
 
-// Env config cached once at startup so worker threads can build
-// per-job sinks without re-reading (and re-validating) the env.
+// D2M_TRACE_FILE cached once at startup so worker threads can build
+// per-job sinks without re-reading the env.
 std::string envTracePath;
-std::size_t envTraceBuf = 8192;
 
 constexpr const char *kKindNames[] = {
     "access_issue", "access_complete", "li_hop", "region_class",
@@ -256,13 +254,11 @@ setGlobalSink(TraceSink *sink)
 void
 initFromEnv()
 {
-    envTraceBuf =
-        static_cast<std::size_t>(envU64("D2M_TRACE_BUF", 8192));
     const char *path = std::getenv("D2M_TRACE_FILE");
     if (!path || !*path)
         return;
     envTracePath = path;
-    globalOwner.sink = new TraceSink(envTracePath, envTraceBuf);
+    globalOwner.sink = new TraceSink(envTracePath);
     globalSink = globalOwner.sink;
 }
 
@@ -270,12 +266,6 @@ const std::string &
 traceFilePath()
 {
     return envTracePath;
-}
-
-std::size_t
-traceBufCapacity()
-{
-    return envTraceBuf;
 }
 
 void

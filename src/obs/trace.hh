@@ -192,15 +192,12 @@ protoEvent(ProtoEvent e, std::uint32_t node, std::uint64_t addr,
 /** Attach @p sink as the global sink (tests; returns the old one). */
 TraceSink *setGlobalSink(TraceSink *sink);
 
-/** Create the global sink from D2M_TRACE_FILE / D2M_TRACE_BUF. */
+/** Create the global sink from D2M_TRACE_FILE. */
 void initFromEnv();
 
 /** D2M_TRACE_FILE as parsed at startup ("" = tracing disabled). The
  * parallel runner derives per-job file names from this. */
 const std::string &traceFilePath();
-
-/** D2M_TRACE_BUF as parsed at startup (ring capacity in records). */
-std::size_t traceBufCapacity();
 
 /** Flush this thread's sink if any (called at run end). */
 void flushGlobal();

@@ -19,6 +19,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,6 +27,7 @@
 
 #include "harness/runner.hh"
 #include "harness/store.hh"
+#include "test_util.hh"
 #include "workload/suites.hh"
 
 namespace d2m
@@ -123,18 +125,6 @@ normalizedDoc(std::string doc)
     return doc;
 }
 
-void
-removeTree(const std::string &dir)
-{
-    for (unsigned s = 0; s < ResultStore::kShards; ++s) {
-        char shard[40];
-        std::snprintf(shard, sizeof(shard), "/shard-%02u.jsonl", s);
-        std::remove((dir + shard).c_str());
-        std::remove((dir + shard + ".tmp").c_str());
-    }
-    ::rmdir(dir.c_str());
-}
-
 TEST(CampaignResume, KillResumeByteIdenticalStats)
 {
     // Children inherit this binary, so the default __DATE__ __TIME__
@@ -143,14 +133,13 @@ TEST(CampaignResume, KillResumeByteIdenticalStats)
     ::unsetenv("D2M_STORE_DIR");
     ::unsetenv("D2M_STATS_JSON");
 
-    const std::string tmp = testing::TempDir();
-    const std::string store = tmp + "resume_store";
-    const std::string storeRef = tmp + "resume_store_ref";
-    const std::string jsonA = tmp + "resume_a.json";
-    const std::string jsonB = tmp + "resume_b.json";
-    const std::string jsonC = tmp + "resume_c.json";
-    removeTree(store);
-    removeTree(storeRef);
+    const std::string store = test::tempPath("resume_store");
+    const std::string storeRef = test::tempPath("resume_store_ref");
+    const std::string jsonA = test::tempPath("resume_a.json");
+    const std::string jsonB = test::tempPath("resume_b.json");
+    const std::string jsonC = test::tempPath("resume_c.json");
+    std::filesystem::remove_all(store);
+    std::filesystem::remove_all(storeRef);
 
     // Phase A: campaign SIGKILLed when the 4th cell starts. Cells
     // 1-3 are already durable; nothing else may survive.
@@ -214,19 +203,18 @@ TEST(CampaignResume, KillResumeByteIdenticalStats)
     std::remove(jsonA.c_str());
     std::remove(jsonB.c_str());
     std::remove(jsonC.c_str());
-    removeTree(store);
-    removeTree(storeRef);
+    std::filesystem::remove_all(store);
+    std::filesystem::remove_all(storeRef);
     ::unsetenv("D2M_BUILD_FINGERPRINT");
 }
 
 TEST(CampaignResume, ResumeDisabledReexecutesEverything)
 {
     ::setenv("D2M_BUILD_FINGERPRINT", "resume-test-2", 1);
-    const std::string tmp = testing::TempDir();
-    const std::string store = tmp + "resume_store_off";
-    const std::string json1 = tmp + "resume_off_1.json";
-    const std::string json2 = tmp + "resume_off_2.json";
-    removeTree(store);
+    const std::string store = test::tempPath("resume_store_off");
+    const std::string json1 = test::tempPath("resume_off_1.json");
+    const std::string json2 = test::tempPath("resume_off_2.json");
+    std::filesystem::remove_all(store);
 
     int sig = 0;
     int code = runChild(store, json1, 0, &sig);
@@ -244,7 +232,7 @@ TEST(CampaignResume, ResumeDisabledReexecutesEverything)
 
     std::remove(json1.c_str());
     std::remove(json2.c_str());
-    removeTree(store);
+    std::filesystem::remove_all(store);
     ::unsetenv("D2M_BUILD_FINGERPRINT");
 }
 

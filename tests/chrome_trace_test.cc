@@ -22,6 +22,7 @@
 #include "obs/json.hh"
 #include "obs/selfprof.hh"
 #include "obs/trace.hh"
+#include "test_util.hh"
 #include "workload/suites.hh"
 
 namespace d2m
@@ -218,15 +219,15 @@ TEST(ChromeTrace, MalformedLineReportsLineNumber)
 TEST(ChromeTrace, MissingInputFileFails)
 {
     std::string err;
-    EXPECT_FALSE(obs::convertTraceFile("no_such_trace.jsonl",
-                                       "out.json", err));
+    EXPECT_FALSE(obs::convertTraceFile(test::tempPath("no_such_trace.jsonl"),
+                                       test::tempPath("out.json"), err));
     EXPECT_NE(err.find("no_such_trace"), std::string::npos);
 }
 
 TEST(ChromeTrace, EndToEndMulticoreTimelineValidates)
 {
-    const std::string jsonl = "chrome_trace_test.jsonl";
-    const std::string out = "chrome_trace_test.json";
+    const std::string jsonl = test::tempPath("chrome_trace_test.jsonl");
+    const std::string out = test::tempPath("chrome_trace_test.json");
     {
         auto *sink = new obs::TraceSink(jsonl, 4096);
         obs::TraceSink *old = obs::setGlobalSink(sink);

@@ -243,9 +243,21 @@ TEST(RunnerDeathTest, ImpossibleGridIsRejectedBeforeAnyCell)
                           ConfigKind::D2mNsR},
                          {tinyWorkload()}, tinySweep()),
                 testing::ExitedWithCode(1),
-                "^fatal: D2M_NODES=16: config D2M-FS cannot be built: "
-                "LI encoding supports at most 8 nodes\n");
+                "^fatal: config D2M-FS cannot be built: "
+                "LI encoding supports at most 8 nodes, not 16\n");
     unsetenv("D2M_NODES");
+}
+
+TEST(RunnerDeathTest, SixteenWayL1IsRejectedBeforeAnyCell)
+{
+    // Table I's 001WWW names at most 8 L1 ways.
+    SweepOptions opts = tinySweep();
+    opts.baseParams.l1d.assoc = 16;
+    EXPECT_EXIT(runSweep({ConfigKind::Base2L, ConfigKind::D2mNsR},
+                         {tinyWorkload()}, opts),
+                testing::ExitedWithCode(1),
+                "^fatal: config D2M-NS-R cannot be built: "
+                "LI encoding supports at most 8 L1-D ways, not 16\n");
 }
 
 TEST(Runner, BaselineGridRunsAtSixteenNodes)
@@ -259,6 +271,18 @@ TEST(Runner, BaselineGridRunsAtSixteenNodes)
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].status, "ok") << rows[0].errorMessage;
     EXPECT_EQ(rows[0].instructions, 16u * 2'000u);
+}
+
+TEST(Runner, BaselineGridRunsWithSixteenWayL1)
+{
+    SweepOptions opts = tinySweep();
+    opts.preRunHook = nullptr;
+    opts.baseParams.l1d.assoc = 16;
+    const auto rows = runSweep({ConfigKind::Base2L}, {tinyWorkload()},
+                               opts);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].status, "ok") << rows[0].errorMessage;
+    EXPECT_EQ(rows[0].valueErrors, 0u);
 }
 
 } // namespace

@@ -25,6 +25,7 @@
 #include "obs/json.hh"
 #include "obs/profiler.hh"
 #include "obs/trace.hh"
+#include "test_util.hh"
 #include "workload/suites.hh"
 
 namespace d2m
@@ -50,7 +51,7 @@ TEST(TraceSink, MemoryRingWrapsDroppingOldest)
 
 TEST(TraceSink, FileFlushesOnFullAndProducesValidJsonl)
 {
-    const std::string path = "obs_test_sink.jsonl";
+    const std::string path = test::tempPath("obs_test_sink.jsonl");
     {
         obs::TraceSink sink(path, /*capacity=*/4);
         for (std::uint64_t i = 0; i < 10; ++i) {
@@ -292,7 +293,7 @@ countNocSends(const std::string &path, std::uint64_t &total,
 
 TEST(TraceReconcile, NocSendRecordsMatchStatsCounters)
 {
-    const std::string path = "obs_test_reconcile.jsonl";
+    const std::string path = test::tempPath("obs_test_reconcile.jsonl");
     auto *sink = new obs::TraceSink(path, 4096);
     obs::TraceSink *old = obs::setGlobalSink(sink);
 
@@ -341,7 +342,7 @@ countProtoEvents(const std::string &path)
 TEST(TraceReconcile, ProtoEventsMatchEventCounters)
 {
     // md1_hit records alone would wrap an in-memory ring: use a file.
-    const std::string path = "obs_test_proto_events.jsonl";
+    const std::string path = test::tempPath("obs_test_proto_events.jsonl");
     auto *sink = new obs::TraceSink(path, 4096);
     obs::TraceSink *old = obs::setGlobalSink(sink);
 
@@ -405,7 +406,7 @@ countJsonlLines(const std::string &path)
 
 TEST(TraceCrashFlushDeathTest, FatalFlushesBufferedRecords)
 {
-    const std::string path = "obs_test_crash_fatal.jsonl";
+    const std::string path = test::tempPath("obs_test_crash_fatal.jsonl");
     std::remove(path.c_str());
     // The sink is created inside the death-test child so only that
     // process owns the file; the buffered records would be lost on
@@ -426,7 +427,7 @@ TEST(TraceCrashFlushDeathTest, FatalFlushesBufferedRecords)
 
 TEST(TraceCrashFlushDeathTest, AtexitFlushesOnPlainExit)
 {
-    const std::string path = "obs_test_crash_exit.jsonl";
+    const std::string path = test::tempPath("obs_test_crash_exit.jsonl");
     std::remove(path.c_str());
     // exit() skips the sink's destructor (it is heap-allocated and
     // never freed here); the std::atexit hook must flush instead.

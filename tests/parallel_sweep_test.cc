@@ -12,16 +12,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/results_json.hh"
 #include "harness/runner.hh"
+#include "test_util.hh"
 
 namespace d2m
 {
@@ -93,13 +96,27 @@ const std::vector<ConfigKind> kConfigs = {
 
 TEST(ParallelSweep, RowsMatchSerialBitForBit)
 {
-    // The stats-JSON document for this whole binary accumulates into
-    // one file; point it somewhere inspectable before the first run.
-    const std::string json_path =
-        testing::TempDir() + "parallel_sweep_stats.json";
-    ::setenv("D2M_STATS_JSON", json_path.c_str(), 1);
-
     const auto workloads = smallWorkloads();
+
+    // The same two sweeps in a child that writes a D2M_STATS_JSON
+    // document, so this process never exports. A process reads the
+    // variable once, at its first sweep, so the child forks before
+    // this binary runs any sweep: this is its first test.
+    const std::string json_path =
+        test::tempPath("parallel_sweep_stats.json");
+    std::remove(json_path.c_str());
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::setenv("D2M_STATS_JSON", json_path.c_str(), 1);
+        runSweep(kConfigs, workloads, sweepOptions(1));
+        runSweep(kConfigs, workloads, sweepOptions(4));
+        std::_Exit(campaignExitCode());
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_EQ(WEXITSTATUS(status), kCampaignExitClean);
+
     const auto serial = runSweep(kConfigs, workloads, sweepOptions(1));
     const auto parallel = runSweep(kConfigs, workloads, sweepOptions(4));
 
@@ -125,10 +142,9 @@ TEST(ParallelSweep, RowsMatchSerialBitForBit)
         }
     }
 
-    // The D2M_STATS_JSON document now holds both sweeps, serial rows
-    // first (slots are reserved sweep-by-sweep). After zeroing the
-    // host-timing fields the parallel half must equal the serial half
-    // byte for byte — content AND order.
+    // The child's document holds both sweeps, serial rows first. After
+    // zeroing the host-timing fields the parallel half must equal the serial
+    // half byte for byte — content AND order.
     std::ifstream in(json_path);
     ASSERT_TRUE(in.good()) << json_path;
     std::vector<std::string> lines;
@@ -146,7 +162,6 @@ TEST(ParallelSweep, RowsMatchSerialBitForBit)
         EXPECT_EQ(row_at(r), row_at(serial.size() + r)) << "row " << r;
 
     std::remove(json_path.c_str());
-    ::unsetenv("D2M_STATS_JSON");
 }
 
 TEST(ParallelSweep, AutoJobsRespectsExplicitOption)
@@ -173,55 +188,6 @@ TEST(ParallelSweep, RepeatedParallelSweepsAreDeterministic)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(normalizedRow(a[i]), normalizedRow(b[i])) << i;
-}
-
-TEST(ParallelSweep, MultiCellSweepWritesPerRunIntervalCsv)
-{
-    // Any sweep with more than one cell splits D2M_INTERVAL_CSV into
-    // per-run iv.<slot>.csv files so no run overwrites another's rows.
-    // The slot is the cell's index among every sweep cell of the
-    // process (it keeps counting across sweeps), so the test discovers
-    // the files by pattern instead of assuming 0-based numbering.
-    const std::string base = testing::TempDir() + "psweep_iv.csv";
-    ::setenv("D2M_INTERVAL_CSV", base.c_str(), 1);
-    ::setenv("D2M_INTERVAL_INSTS", "500", 1);
-
-    const auto workloads = smallWorkloads();
-    const std::vector<NamedWorkload> one = {workloads[0]};
-    const std::vector<ConfigKind> two = {ConfigKind::Base2L,
-                                         ConfigKind::D2mFs};
-    runSweep(two, one, sweepOptions(2));
-
-    std::vector<std::string> slotFiles;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(testing::TempDir())) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("psweep_iv.", 0) == 0 && name != "psweep_iv.csv")
-            slotFiles.push_back(entry.path().string());
-    }
-    EXPECT_EQ(slotFiles.size(), 2u) << "one interval CSV per cell";
-    {
-        std::ifstream fBase(base);
-        EXPECT_FALSE(fBase.good())
-            << "multi-cell sweep must not write the bare path";
-    }
-    for (const std::string &p : slotFiles) {
-        std::ifstream f(p);
-        std::string header;
-        EXPECT_TRUE(std::getline(f, header)) << p;
-        EXPECT_EQ(header.rfind("idx,warmup,", 0), 0u) << header;
-    }
-
-    // A single-cell sweep keeps the un-suffixed path byte-compatible.
-    runSweep({ConfigKind::Base2L}, one, sweepOptions(1));
-    std::ifstream fBase2(base);
-    EXPECT_TRUE(fBase2.good()) << base;
-
-    ::unsetenv("D2M_INTERVAL_CSV");
-    ::unsetenv("D2M_INTERVAL_INSTS");
-    std::remove(base.c_str());
-    for (const auto &p : slotFiles)
-        std::remove(p.c_str());
 }
 
 } // namespace

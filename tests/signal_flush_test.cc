@@ -16,6 +16,7 @@
 #include "common/logging.hh"
 #include "obs/json.hh"
 #include "obs/trace.hh"
+#include "test_util.hh"
 
 namespace d2m
 {
@@ -51,8 +52,7 @@ using SignalFlushDeathTest = ::testing::Test;
 
 TEST(SignalFlushDeathTest, SigtermFlushesTraceTail)
 {
-    const std::string path =
-        testing::TempDir() + "signal_flush_term.jsonl";
+    const std::string path = test::tempPath("signal_flush_term.jsonl");
     std::remove(path.c_str());
     EXPECT_EXIT(
         {
@@ -72,8 +72,7 @@ TEST(SignalFlushDeathTest, SigtermFlushesTraceTail)
 
 TEST(SignalFlushDeathTest, SigintFlushesTraceTail)
 {
-    const std::string path =
-        testing::TempDir() + "signal_flush_int.jsonl";
+    const std::string path = test::tempPath("signal_flush_int.jsonl");
     std::remove(path.c_str());
     EXPECT_EXIT(
         {

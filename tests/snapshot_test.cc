@@ -2,17 +2,13 @@
  * @file
  * Tests for the interval statistics engine (obs/snapshot.hh): boundary
  * crossing, warmup-reset semantics (post-warmup deltas must sum to the
- * final counters), CSV mirroring, env-variable construction, and a
- * full multicore run reconciling every interval delta against the live
- * stats tree.
+ * final counters), env-variable construction, and a full multicore run
+ * reconciling every interval delta against the live stats tree.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "common/stats.hh"
 #include "cpu/multicore.hh"
@@ -26,19 +22,11 @@ namespace d2m
 namespace
 {
 
-obs::StatSnapshotter::Config
-instConfig(std::uint64_t every)
-{
-    obs::StatSnapshotter::Config cfg;
-    cfg.everyInsts = every;
-    return cfg;
-}
-
 TEST(Snapshot, ClosesIntervalOnInstructionBoundary)
 {
     stats::StatGroup root("sys");
     stats::Counter c(&root, "c", "");
-    obs::StatSnapshotter snap(root, instConfig(100));
+    obs::StatSnapshotter snap(root, 100);
 
     c += 5;
     snap.tick(50, 10);  // below the boundary: nothing closes
@@ -69,7 +57,7 @@ TEST(Snapshot, BurstAcrossSeveralBoundariesYieldsOneCoveringRow)
 {
     stats::StatGroup root("sys");
     stats::Counter c(&root, "c", "");
-    obs::StatSnapshotter snap(root, instConfig(10));
+    obs::StatSnapshotter snap(root, 10);
     c += 9;
     snap.tick(55, 7);  // crosses boundaries 10..50 at once
     ASSERT_EQ(snap.rows().size(), 1u);
@@ -84,21 +72,6 @@ TEST(Snapshot, BurstAcrossSeveralBoundariesYieldsOneCoveringRow)
     EXPECT_EQ(snap.rows()[1].startInsts, 55u);
 }
 
-TEST(Snapshot, TickBoundaryTriggersIndependently)
-{
-    stats::StatGroup root("sys");
-    stats::Counter c(&root, "c", "");
-    obs::StatSnapshotter::Config cfg;
-    cfg.everyTicks = 1000;
-    obs::StatSnapshotter snap(root, cfg);
-    c += 2;
-    snap.tick(10, 999);
-    EXPECT_TRUE(snap.rows().empty());
-    snap.tick(11, 1000);
-    ASSERT_EQ(snap.rows().size(), 1u);
-    EXPECT_EQ(snap.rows()[0].endTick, 1000u);
-}
-
 TEST(Snapshot, PostWarmupDeltasSumToFinalCounters)
 {
     stats::StatGroup root("sys");
@@ -106,7 +79,7 @@ TEST(Snapshot, PostWarmupDeltasSumToFinalCounters)
     stats::Counter a(&root, "a", "");
     stats::Counter b(&noc, "b", "");
     stats::Histogram2 h(&root, "lat", "");
-    obs::StatSnapshotter snap(root, instConfig(100));
+    obs::StatSnapshotter snap(root, 100);
 
     // Warmup traffic: closed against pre-reset values.
     a += 40;
@@ -152,7 +125,7 @@ TEST(Snapshot, RowsJsonIsValidAndSparse)
     stats::StatGroup root("sys");
     stats::Counter a(&root, "a", "");
     stats::Counter zero(&root, "zero", "");
-    obs::StatSnapshotter snap(root, instConfig(10));
+    obs::StatSnapshotter snap(root, 10);
     a += 6;
     snap.tick(10, 3);
     json::Value v;
@@ -167,39 +140,9 @@ TEST(Snapshot, RowsJsonIsValidAndSparse)
     EXPECT_TRUE(v.array[0]["deltas"]["sys.zero"].isNull());
 }
 
-TEST(Snapshot, CsvMirrorsRowsWithHeader)
-{
-    const std::string path = "snapshot_test_iv.csv";
-    stats::StatGroup root("sys");
-    stats::Counter a(&root, "a", "");
-    {
-        obs::StatSnapshotter::Config cfg = instConfig(10);
-        cfg.csvPath = path;
-        obs::StatSnapshotter snap(root, cfg);
-        a += 4;
-        snap.tick(10, 2);
-        a += 1;
-        snap.finish(15, 3);
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "idx,warmup,start_insts,end_insts,start_tick,"
-                    "end_tick,sys.a");
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "0,1,0,10,0,2,4");
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "1,1,10,15,2,3,1");
-    EXPECT_FALSE(std::getline(in, line));
-    std::remove(path.c_str());
-}
-
 TEST(Snapshot, FromEnvDisabledReturnsNull)
 {
     ::unsetenv("D2M_INTERVAL_INSTS");
-    ::unsetenv("D2M_INTERVAL_TICKS");
-    ::unsetenv("D2M_INTERVAL_CSV");
     stats::StatGroup root("sys");
     EXPECT_EQ(obs::StatSnapshotter::fromEnv(root), nullptr);
 }
@@ -207,8 +150,6 @@ TEST(Snapshot, FromEnvDisabledReturnsNull)
 TEST(Snapshot, FromEnvReadsPeriods)
 {
     ::setenv("D2M_INTERVAL_INSTS", "5000", 1);
-    ::unsetenv("D2M_INTERVAL_TICKS");
-    ::unsetenv("D2M_INTERVAL_CSV");
     stats::StatGroup root("sys");
     stats::Counter a(&root, "a", "");
     auto snap = obs::StatSnapshotter::fromEnv(root);
@@ -217,17 +158,6 @@ TEST(Snapshot, FromEnvReadsPeriods)
     snap->tick(5000, 1);
     EXPECT_EQ(snap->rows().size(), 1u);
     ::unsetenv("D2M_INTERVAL_INSTS");
-}
-
-TEST(SnapshotDeathTest, CsvWithoutPeriodIsFatal)
-{
-    ::unsetenv("D2M_INTERVAL_INSTS");
-    ::unsetenv("D2M_INTERVAL_TICKS");
-    ::setenv("D2M_INTERVAL_CSV", "nope.csv", 1);
-    stats::StatGroup root("sys");
-    EXPECT_EXIT(obs::StatSnapshotter::fromEnv(root),
-                testing::ExitedWithCode(1), "D2M_INTERVAL_CSV");
-    ::unsetenv("D2M_INTERVAL_CSV");
 }
 
 TEST(Snapshot, RunWithoutSnapshotterIsANoOp)
@@ -273,7 +203,7 @@ TEST(Snapshot, MulticoreRunDeltasReconcileAgainstLiveStats)
     for (unsigned c = 0; c < sys->params().numNodes; ++c)
         streams.push_back(std::make_unique<SyntheticStream>(p, c, 64));
 
-    obs::StatSnapshotter snap(*sys, instConfig(1'000));
+    obs::StatSnapshotter snap(*sys, 1'000);
     RunOptions opts;
     opts.warmupInstsPerCore = 2'000;
     opts.snapshotter = &snap;

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "harness/runner.hh"
 #include "harness/store.hh"
 #include "obs/json.hh"
+#include "test_util.hh"
 #include "workload/suites.hh"
 
 namespace d2m
@@ -30,16 +32,12 @@ namespace d2m
 namespace
 {
 
+/** An empty store directory of this process, named after @p name. */
 std::string
 freshDir(const char *name)
 {
-    const std::string dir = testing::TempDir() + name;
-    // Tests reuse temp dirs across runs; start from nothing.
-    for (unsigned s = 0; s < ResultStore::kShards; ++s) {
-        char shard[32];
-        std::snprintf(shard, sizeof(shard), "/shard-%02u.jsonl", s);
-        std::remove((dir + shard).c_str());
-    }
+    const std::string dir = test::tempPath(name);
+    std::filesystem::remove_all(dir);  // a reused process id
     return dir;
 }
 
@@ -156,6 +154,7 @@ TEST(ResultStore, PutLookupReloadLastWins)
     EXPECT_EQ(out.hostKips, 9.0) << "newest record must win";
     ASSERT_TRUE(store.lookup(RunKey{2}, &out));
     EXPECT_FALSE(store.lookup(RunKey{3}, &out));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ResultStore, ToleratesTornAndGarbageLines)
@@ -186,6 +185,7 @@ TEST(ResultStore, ToleratesTornAndGarbageLines)
     store.put(sampleRun(1 + ResultStore::kShards));  // same shard
     ResultStore healed(dir);
     EXPECT_EQ(healed.size(), 2u);
+    std::filesystem::remove_all(dir);
 }
 
 /** Path of the shard that holds @p key in store @p dir. */
@@ -240,7 +240,7 @@ TEST(ResultStore, PreviousFormatRecordsReplayVerbatim)
 {
     ::setenv("D2M_BUILD_FINGERPRINT", "store-compat", 1);
     const std::string dir = freshDir("store_compat");
-    const std::string json = testing::TempDir() + "store_compat.json";
+    const std::string json = test::tempPath("store_compat.json");
     std::remove(json.c_str());
     ::mkdir(dir.c_str(), 0777);
 
@@ -306,13 +306,14 @@ TEST(ResultStore, PreviousFormatRecordsReplayVerbatim)
     EXPECT_EQ(readFile(json),
               "{\"runs\":[\n" + okRow + ",\n" + failRow + "\n]}\n");
     std::remove(json.c_str());
+    std::filesystem::remove_all(dir);
     ::unsetenv("D2M_BUILD_FINGERPRINT");
 }
 
 TEST(StatsDocument, WrittenOnceAfterTheSweep)
 {
     ::unsetenv("D2M_STORE_DIR");
-    const std::string json = testing::TempDir() + "stats_once.json";
+    const std::string json = test::tempPath("stats_once.json");
     std::remove(json.c_str());
 
     // The child forks before D2M_STATS_JSON is first read (it is
@@ -354,7 +355,7 @@ TEST(StatsDocument, WrittenOnceAfterTheSweep)
 TEST(StatsDocument, RunOneAppendsRowsInCallOrder)
 {
     ::unsetenv("D2M_STORE_DIR");
-    const std::string json = testing::TempDir() + "stats_run_one.json";
+    const std::string json = test::tempPath("stats_run_one.json");
     std::remove(json.c_str());
 
     // The child forks before D2M_STATS_JSON is first read (it is
@@ -415,6 +416,7 @@ TEST(ResultStore, TimeoutRecordIsDroppedLikeATornLine)
     store.put(rerun);
     const std::string shard = readFile(shardFile(dir, key));
     EXPECT_EQ(shard, ResultStore::recordToJson(rerun) + "\n");
+    std::filesystem::remove_all(dir);
 }
 
 TEST(RunKeys, StableAndSensitiveToInputs)

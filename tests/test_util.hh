@@ -1,12 +1,17 @@
 /**
  * @file
- * Shared helpers for driving memory systems in directed tests.
+ * Shared helpers for driving memory systems in directed tests, and
+ * for naming the files a test writes.
  */
 
 #ifndef D2M_TESTS_TEST_UTIL_HH
 #define D2M_TESTS_TEST_UTIL_HH
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <string>
 
 #include "cpu/mem_system.hh"
 
@@ -58,6 +63,16 @@ pregionOf(MemorySystem &sys, Addr vaddr, AsId asid = 0)
 {
     const Addr paddr = sys.pageTable().translate(asid, vaddr);
     return paddr >> sys.params().regionShift();
+}
+
+/**
+ * testing::TempDir() + @p name + this process's id: a file or store
+ * directory that no concurrent run of the same test binary shares.
+ */
+inline std::string
+tempPath(const std::string &name)
+{
+    return testing::TempDir() + name + "." + std::to_string(::getpid());
 }
 
 /** EXPECT-style invariant check helper. */

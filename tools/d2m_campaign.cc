@@ -3,28 +3,16 @@
  * Campaign driver: the full (configs x workloads) grid as one
  * crash-safe, resumable run (DESIGN.md §12).
  *
- * Usage: d2m_campaign [--manifest=FILE]
+ * Usage: d2m_campaign
  *
- * A manifest (harness/manifest.hh) declares the whole campaign in one
- * file; applying it seeds the environment, and variables already set
- * in the environment win over manifest values — so a manifest-driven
- * campaign is exactly the equivalent env-var-driven one.
- *
- * Environment:
- *   D2M_STORE_DIR       durable result store; enables resume
- *   D2M_RESUME=0        re-execute everything despite the store
- *   D2M_STATS_JSON      combined stats document (byte-identical
- *                       whether or not the campaign was interrupted)
- *   D2M_CONFIG_FILTER / D2M_SUITE_FILTER / D2M_BENCH_FILTER /
- *   D2M_INSTS_PER_CORE / D2M_SEED / D2M_JOBS / D2M_QUIET as usual.
+ * The environment is the whole configuration; `d2m_campaign --help`
+ * lists every D2M_* variable it reads. A campaign kept in a file is a
+ * shell env file: `set -a; . fig5.env; set +a; d2m_campaign`.
  *
  * Each cell runs once. Exit code: 0 all cells ok, 2 some cells
  * failed, 3 interrupted (drained) before the grid completed.
- *
- * Test knobs (used by tests/ and CI to exercise crash paths):
- *   D2M_CAMPAIGN_KILL_AFTER=N    SIGKILL self when the N-th cell starts
- *   D2M_CAMPAIGN_SIGINT_AFTER=N  raise SIGINT when the N-th cell starts
- *   D2M_CAMPAIGN_FAIL_BENCH=x    fatal() in every run of benchmark x
+ * Three test knobs (D2M_CAMPAIGN_*, also in --help) let tests/ and CI
+ * kill, interrupt or fail the campaign at a chosen cell.
  */
 
 #include <atomic>
@@ -38,7 +26,6 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "harness/manifest.hh"
 #include "harness/runner.hh"
 #include "harness/store.hh"
 #include "workload/suites.hh"
@@ -49,21 +36,34 @@ namespace
 void
 usage(std::FILE *out)
 {
-    std::fprintf(out,
-                 "usage: d2m_campaign [--manifest=FILE]\n\n"
-                 "Runs the full (configs x workloads) grid as one "
-                 "crash-safe, resumable campaign.\nA manifest seeds "
-                 "the D2M_* environment (already-set variables win).\n\n"
-                 "Manifest keys:\n");
-    const char *section = "";
-    for (const auto &k : d2m::manifestKeys()) {
-        if (std::strcmp(section, k.section) != 0) {
-            section = k.section;
-            std::fprintf(out, "  [%s]\n", section);
-        }
-        std::fprintf(out, "    %-16s -> %s%s\n", k.key, k.env,
-                     k.numeric ? " (integer)" : "");
-    }
+    std::fputs(
+        "usage: d2m_campaign\n\n"
+        "Runs the full (configs x workloads) grid as one crash-safe,\n"
+        "resumable campaign, configured by these environment variables:\n\n"
+        "  D2M_CONFIG_FILTER      configs to run (pattern list)\n"
+        "  D2M_SUITE_FILTER       suites to run (pattern list)\n"
+        "  D2M_BENCH_FILTER       benchmarks to run (pattern list)\n"
+        "  D2M_INSTS_PER_CORE     measured instructions per core\n"
+        "  D2M_WARMUP             warm-up instructions per core\n"
+        "  D2M_NODES              node count\n"
+        "  D2M_SEED               workload seed for every benchmark\n"
+        "  D2M_JOBS               concurrent cells\n"
+        "  D2M_STORE_DIR          durable result store; enables resume\n"
+        "  D2M_RESUME=0           re-execute cells the store holds\n"
+        "  D2M_BUILD_FINGERPRINT  binary fingerprint in the run keys\n"
+        "  D2M_STATS_JSON         combined stats document\n"
+        "  D2M_INTERVAL_INSTS     interval stats period, instructions\n"
+        "  D2M_TRACE_FILE         JSONL event trace\n"
+        "  D2M_HEARTBEAT          progress line every N M-instructions\n"
+        "  D2M_SELFPROF=1         sampled self-profiler\n"
+        "  D2M_QUIET=1            no per-cell progress lines\n\n"
+        "Test knobs, which exercise the crash paths:\n\n"
+        "  D2M_CAMPAIGN_KILL_AFTER=N    SIGKILL when the N-th cell starts\n"
+        "  D2M_CAMPAIGN_SIGINT_AFTER=N  SIGINT when the N-th cell starts\n"
+        "  D2M_CAMPAIGN_FAIL_BENCH=x    fail every cell of benchmark x\n\n"
+        "A campaign kept in a file is a shell env file:\n"
+        "  set -a; . fig5.env; set +a; d2m_campaign\n",
+        out);
 }
 
 } // namespace
@@ -73,28 +73,16 @@ main(int argc, char **argv)
 {
     using namespace d2m;
 
-    std::string manifestPath;
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--help") == 0 ||
-            std::strcmp(arg, "-h") == 0) {
+        if (std::strcmp(argv[i], "--help") == 0 ||
+            std::strcmp(argv[i], "-h") == 0) {
             usage(stdout);
             return 0;
-        } else if (std::strncmp(arg, "--manifest=", 11) == 0) {
-            manifestPath = arg + 11;
-        } else if (std::strcmp(arg, "--manifest") == 0 &&
-                   i + 1 < argc) {
-            manifestPath = argv[++i];
-        } else {
-            std::fprintf(stderr, "d2m_campaign: unknown argument '%s'\n",
-                         arg);
-            usage(stderr);
-            return 1;
         }
-    }
-    if (!manifestPath.empty()) {
-        Manifest m = parseManifestFile(manifestPath);
-        applyManifest(m, std::getenv("D2M_QUIET") == nullptr);
+        std::fprintf(stderr, "d2m_campaign: unknown argument '%s'\n",
+                     argv[i]);
+        usage(stderr);
+        return 1;
     }
 
     SweepOptions opts;
