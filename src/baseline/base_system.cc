@@ -12,7 +12,6 @@ BaselineSystem::BaselineSystem(std::string name, const SystemParams &params)
       hasL2_(params.l2.present()),
       stats_("hier", this)
 {
-    const unsigned lshift = params.lineShift();
     nodes_.resize(params.numNodes);
     for (unsigned n = 0; n < params.numNodes; ++n) {
         const std::string prefix = "node" + std::to_string(n);
@@ -21,18 +20,19 @@ BaselineSystem::BaselineSystem(std::string name, const SystemParams &params)
                                               params.pageShift);
         nodes_[n].l1i = std::make_unique<ClassicCache>(
             prefix + ".l1i", this, params.l1Lines(params.l1i),
-            params.l1i.assoc, lshift);
+            params.l1i.assoc, lineShift_);
         nodes_[n].l1d = std::make_unique<ClassicCache>(
             prefix + ".l1d", this, params.l1Lines(params.l1d),
-            params.l1d.assoc, lshift);
+            params.l1d.assoc, lineShift_);
         if (hasL2_) {
             nodes_[n].l2 = std::make_unique<ClassicCache>(
                 prefix + ".l2", this, params.l1Lines(params.l2),
-                params.l2.assoc, lshift);
+                params.l2.assoc, lineShift_);
         }
     }
     llc_ = std::make_unique<ClassicCache>(
-        "llc", this, params.l1Lines(params.llc), params.llc.assoc, lshift);
+        "llc", this, params.l1Lines(params.llc), params.llc.assoc,
+        lineShift_);
 }
 
 ClassicCache &
@@ -350,7 +350,7 @@ BaselineSystem::access(NodeId node, const MemAccess &acc, Tick)
 
     Cycles lat = params_.lat.l1Hit;
     const Addr paddr = translate(node, acc, lat);
-    const Addr line_addr = paddr >> params_.lineShift();
+    const Addr line_addr = paddr >> lineShift_;
     const bool store = isWrite(acc.type);
 
     ClassicCache &l1 = l1For(node, acc.type);

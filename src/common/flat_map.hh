@@ -1,33 +1,34 @@
 /**
  * @file
- * Open-addressing flat hash containers for the simulator's hot paths.
+ * Open-addressing flat hash map for the simulator's hot paths.
  *
  * std::unordered_map allocates one node per element and chases a
- * pointer per probe; the simulator's hottest lookups (page-table
- * translation, golden-memory value checks, DRAM line values, MSHR
- * merge tracking) are all small-key/small-value maps hit once or more
- * per simulated access, where that pointer chase dominates. FlatMap
- * stores key/value pairs inline in one power-of-two array with linear
- * probing, so a lookup is a hash, a mask, and a short contiguous scan
- * — one or two cache lines instead of a bucket list walk.
+ * pointer per probe; the simulator's hottest lookups (golden-memory
+ * value checks, DRAM line values, the TLB index) are all
+ * small-key/small-value maps hit once or more per simulated access,
+ * where that pointer chase dominates. FlatMap stores key/value pairs
+ * inline in one power-of-two array with linear probing, so a lookup
+ * is a hash, a mask, and a short contiguous scan — one or two cache
+ * lines instead of a bucket list walk.
  *
- * Deletion uses tombstones (kTomb) so probe chains stay intact;
- * rehashing drops tombstones. The table grows when full + tombstone
- * slots exceed 5/8 of capacity (plain linear probing degrades fast
- * past that — the SIMD group probes that let Swiss tables run at 7/8
- * are deliberately out of scope here), rehashing in place (same
- * capacity) when live entries alone are below half of capacity —
- * sustained insert/erase churn therefore rehashes periodically
- * instead of growing without bound.
+ * Deletion is backward-shift: the entries that follow an erased slot
+ * in its probe run move back into the hole whenever their probe path
+ * passes through it, so a run never holds a gap and a lookup stops at
+ * the first empty slot. With no tombstones the probe load is the live
+ * load: the table doubles when live entries would exceed 5/8 of
+ * capacity (plain linear probing degrades fast past that — the SIMD
+ * group probes that let Swiss tables run at 7/8 are deliberately out
+ * of scope here), and sustained insert/erase churn never rehashes.
  *
- * Iterators and element pointers are invalidated by rehash (any
- * insert) like std::unordered_map's; erase(iterator) returns the next
- * valid iterator so erase-during-scan loops port directly.
+ * Iterators and element pointers are invalidated by any insert
+ * (rehash) and by any erase (the shift moves later entries), like
+ * std::unordered_map's under rehash.
  */
 
 #ifndef D2M_COMMON_FLAT_MAP_HH
 #define D2M_COMMON_FLAT_MAP_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -117,7 +118,6 @@ class FlatMap
         }
 
       private:
-        friend class FlatMap;
         Owner *owner_ = nullptr;
         std::size_t idx_ = 0;
     };
@@ -136,7 +136,6 @@ class FlatMap
     {
         std::fill(ctrl_.begin(), ctrl_.end(), kEmpty);
         size_ = 0;
-        used_ = 0;
     }
 
     /** Pre-size so @p n entries fit without rehashing. */
@@ -203,26 +202,30 @@ class FlatMap
     bool
     erase(const Key &key)
     {
-        const std::size_t idx = findIndex(key);
-        if (idx == npos())
+        std::size_t hole = findIndex(key);
+        if (hole == npos())
             return false;
-        ctrl_[idx] = kTomb;
+        // Backward shift: a later entry of the run moves into the hole
+        // when the hole lies on its probe path (home slot up to its
+        // slot), which keeps the run gap-free; the table always holds
+        // an empty slot, so the scan ends.
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = (hole + 1) & mask; ctrl_[i] == kFull;
+             i = (i + 1) & mask) {
+            const std::size_t home =
+                static_cast<std::size_t>(Hash{}(slots_[i].first)) & mask;
+            if (((i - home) & mask) >= ((i - hole) & mask)) {
+                slots_[hole] = std::move(slots_[i]);
+                hole = i;
+            }
+        }
+        ctrl_[hole] = kEmpty;
         --size_;
         return true;
     }
 
-    /** Erase the entry at @p it; @return the next valid iterator. */
-    iterator
-    erase(iterator it)
-    {
-        assert(it.owner_ == this && ctrl_[it.idx_] == kFull);
-        ctrl_[it.idx_] = kTomb;
-        --size_;
-        return iterator(this, nextFull(it.idx_ + 1));
-    }
-
   private:
-    enum : std::uint8_t { kEmpty = 0, kFull = 1, kTomb = 2 };
+    enum : std::uint8_t { kEmpty = 0, kFull = 1 };
     static constexpr std::size_t kMinCapacity = 16;
 
     std::size_t npos() const { return slots_.size(); }
@@ -245,7 +248,7 @@ class FlatMap
         for (;;) {
             if (ctrl_[idx] == kEmpty)
                 return npos();
-            if (ctrl_[idx] == kFull && slots_[idx].first == key)
+            if (slots_[idx].first == key)
                 return idx;
             idx = (idx + 1) & mask;
         }
@@ -253,49 +256,28 @@ class FlatMap
 
     /**
      * Slot for inserting @p key: the existing entry's slot when
-     * present (ctrl == kFull), else a free slot (growing first when
-     * the table is too loaded). Reuses the first tombstone on the
-     * probe path so erase/insert churn does not stretch chains.
+     * present (ctrl == kFull), else the empty slot that ends its probe
+     * run (doubling the table first when it is too loaded).
      */
     std::size_t
     insertSlot(const Key &key)
     {
-        if (slots_.empty() || (used_ + 1) * 8 > slots_.size() * 5)
-            rehash(growCapacity());
+        if ((size_ + 1) * 8 > slots_.size() * 5)
+            rehash(std::max(kMinCapacity, slots_.size() * 2));
         const std::size_t mask = slots_.size() - 1;
         std::size_t idx = static_cast<std::size_t>(Hash{}(key)) & mask;
-        std::size_t tomb = npos();
-        for (;;) {
-            if (ctrl_[idx] == kEmpty)
-                return tomb != npos() ? tomb : idx;
-            if (ctrl_[idx] == kFull && slots_[idx].first == key)
-                return idx;
-            if (ctrl_[idx] == kTomb && tomb == npos())
-                tomb = idx;
+        while (ctrl_[idx] == kFull && slots_[idx].first != key)
             idx = (idx + 1) & mask;
-        }
+        return idx;
     }
 
     void
     occupy(std::size_t idx, const Key &key, T value)
     {
-        if (ctrl_[idx] == kEmpty)
-            ++used_;
         ctrl_[idx] = kFull;
         slots_[idx].first = key;
         slots_[idx].second = std::move(value);
         ++size_;
-    }
-
-    /** Grow only when live entries need it; tombstone-heavy tables
-     * rehash at the same capacity, reclaiming the dead slots. */
-    std::size_t
-    growCapacity() const
-    {
-        if (slots_.empty())
-            return kMinCapacity;
-        return size_ * 2 >= slots_.size() ? slots_.size() * 2
-                                          : slots_.size();
     }
 
     void
@@ -306,7 +288,6 @@ class FlatMap
         std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
         slots_.assign(new_cap, value_type{});
         ctrl_.assign(new_cap, kEmpty);
-        used_ = 0;
         size_ = 0;
         const std::size_t mask = new_cap - 1;
         for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
@@ -323,34 +304,6 @@ class FlatMap
     std::vector<value_type> slots_;
     std::vector<std::uint8_t> ctrl_;
     std::size_t size_ = 0;  //!< Live (kFull) entries.
-    std::size_t used_ = 0;  //!< kFull + kTomb slots (probe load).
-};
-
-/** Open-addressing hash set on the FlatMap engine. */
-template <typename Key, typename Hash = FlatHash<Key>>
-class FlatSet
-{
-  public:
-    /** @return true when @p key was newly inserted. */
-    bool
-    insert(const Key &key)
-    {
-        return map_.emplace(key, Empty{}).second;
-    }
-
-    bool contains(const Key &key) const { return map_.contains(key); }
-
-    bool erase(const Key &key) { return map_.erase(key); }
-    std::size_t size() const { return map_.size(); }
-    bool empty() const { return map_.empty(); }
-    void clear() { map_.clear(); }
-    void reserve(std::size_t n) { map_.reserve(n); }
-
-  private:
-    struct Empty
-    {};
-
-    FlatMap<Key, Empty, Hash> map_;
 };
 
 } // namespace d2m

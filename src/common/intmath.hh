@@ -6,6 +6,7 @@
 #ifndef D2M_COMMON_INTMATH_HH
 #define D2M_COMMON_INTMATH_HH
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 
@@ -24,10 +25,7 @@ constexpr unsigned
 floorLog2(std::uint64_t n)
 {
     assert(n != 0);
-    unsigned result = 0;
-    while (n >>= 1)
-        ++result;
-    return result;
+    return static_cast<unsigned>(std::bit_width(n)) - 1;
 }
 
 /** @return ceil(log2(n)); @p n must be non-zero. */

@@ -33,7 +33,6 @@ dataLevelIndex(ServiceLevel level)
 
 D2mSystem::D2mSystem(std::string name, const SystemParams &params)
     : MemorySystem(std::move(name), params, params.lat.nocHop),
-      lineShift_(params.lineShift()),
       regionShift_(params.regionShift()),
       regionLinesLog_(floorLog2(params.regionLines)),
       nearSide_(params.nearSideLlc),

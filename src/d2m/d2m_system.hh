@@ -314,7 +314,6 @@ class D2mSystem : public MemorySystem
                            Addr line_addr, std::uint32_t scramble, Fn &&fn);
 
     // ---- members -----------------------------------------------------
-    unsigned lineShift_;
     unsigned regionShift_;
     unsigned regionLinesLog_;
     bool nearSide_;

@@ -13,6 +13,9 @@
  *     node's PB bit set.
  *  6. Inclusion: every MD1 entry and the MD2 entry it points to name
  *     each other; MD2 regions and LLC lines present in MD3.
+ *  7. LI code (paper Table I): every stored LI — MD2's, MD3's and the
+ *     RP of every valid data slot — comes back unchanged from the
+ *     6-bit code, so the hardware's pointer could hold it.
  *
  * All violations are collected (up to a reporting cap), not just the
  * first, so one check of a badly corrupted state names every broken
@@ -43,9 +46,20 @@ D2mSystem::checkInvariants(std::string &why) const
         }
         ++violations;
     };
+    const auto encodable = [&](const LocationInfo &li) {
+        return codec_.decode(codec_.encode(li)) == li;
+    };
 
-    // --- master uniqueness over all data arrays ----------------------
+    // --- master uniqueness and encodable RPs over all data arrays -----
     std::map<Addr, unsigned> masters;
+    const auto checkSlot = [&](const TaglessLine &line) {
+        if (line.master)
+            ++masters[line.lineAddr];
+        if (!encodable(line.rp)) {
+            fail("RP not encodable in the 6-bit LI code: line " +
+                 std::to_string(line.lineAddr));
+        }
+    };
     for (NodeId n = 0; n < params_.numNodes; ++n) {
         for (const TaglessCache *cache :
              {nodes_[n].l1i.get(), nodes_[n].l1d.get(),
@@ -54,16 +68,14 @@ D2mSystem::checkInvariants(std::string &why) const
                 continue;
             cache->forEachValid([&](std::uint32_t, std::uint32_t,
                                     const TaglessLine &line) {
-                if (line.master)
-                    ++masters[line.lineAddr];
+                checkSlot(line);
             });
         }
     }
     for (const auto &slice : llc_) {
         slice->forEachValid([&](std::uint32_t, std::uint32_t,
                                 const TaglessLine &line) {
-            if (line.master)
-                ++masters[line.lineAddr];
+            checkSlot(line);
         });
     }
     for (const auto &[addr, count] : masters) {
@@ -112,6 +124,12 @@ D2mSystem::checkInvariants(std::string &why) const
             for (unsigned i = 0; i < params_.regionLines; ++i) {
                 const Addr la = regionLine(e2.key, i);
                 LocationInfo li = e2.li[i];
+                if (!encodable(li)) {
+                    fail("MD2 LI not encodable in the 6-bit LI code: "
+                         "node " + std::to_string(n) + " line " +
+                         std::to_string(la));
+                    continue;
+                }
                 if (li.isInvalid()) {
                     fail("invalid LI in node metadata");
                     continue;
@@ -143,6 +161,8 @@ D2mSystem::checkInvariants(std::string &why) const
                         fail("replica RP invalid");
                         break;
                     }
+                    if (!encodable(li))
+                        break;  // reported with the slot's RP above
                 }
             }
         });
@@ -180,16 +200,20 @@ D2mSystem::checkInvariants(std::string &why) const
         });
     }
 
-    // --- MD3 LIs deterministic for shared/untracked regions -----------
+    // --- MD3 LIs encodable; deterministic for shared/untracked -------
     md3_->forEach([&](const Md3Entry &e3) {
-        const RegionClass cls = classify(true, e3.pb);
-        if (cls == RegionClass::Private)
-            return;  // LIs invalid by design
+        const bool priv = classify(true, e3.pb) == RegionClass::Private;
         for (unsigned i = 0; i < params_.regionLines; ++i) {
             const LocationInfo li = e3.li[i];
-            if (li.kind != LiKind::Llc)
-                continue;
             const Addr la = regionLine(e3.key, i);
+            if (!encodable(li)) {
+                fail("MD3 LI not encodable in the 6-bit LI code: line " +
+                     std::to_string(la));
+                continue;
+            }
+            // A private region's LIs are invalid by design.
+            if (priv || li.kind != LiKind::Llc)
+                continue;
             const TaglessLine &slot =
                 slotAt(invalidNode, /*side_i=*/false, li, la, e3.scramble);
             if (!slot.valid || slot.lineAddr != la || !slot.master)

@@ -38,24 +38,18 @@ class PageTable
 
     unsigned pageShift() const { return pageShift_; }
 
-    /** Translate @p vaddr in @p asid, counting pages on first touch. */
+    /** Translate @p vaddr in @p asid: arithmetic, no state. */
     Addr
-    translate(AsId asid, Addr vaddr)
+    translate(AsId asid, Addr vaddr) const
     {
         const std::uint64_t vpage = vaddr >> pageShift_;
         const Addr offset = vaddr & ((Addr(1) << pageShift_) - 1);
         const std::uint64_t frame = vpage + (std::uint64_t(asid) << 24);
-        if (touched_.insert((std::uint64_t(asid) << 40) ^ vpage))
-            ++pages_;
         return (frame << pageShift_) | offset;
     }
 
-    std::uint64_t numPages() const { return pages_; }
-
   private:
     unsigned pageShift_;
-    std::uint64_t pages_ = 0;
-    FlatSet<std::uint64_t> touched_;
 };
 
 /**

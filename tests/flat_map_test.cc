@@ -1,7 +1,9 @@
 /**
  * @file
- * Tests for the open-addressing flat hash containers, including a
- * randomized property test against std::unordered_map.
+ * Tests for the open-addressing flat hash map: backward-shift
+ * deletion (churn at fixed capacity, a probe run that wraps past the
+ * last slot) and a randomized property test against
+ * std::unordered_map.
  */
 
 #include <gtest/gtest.h>
@@ -86,22 +88,87 @@ TEST(FlatMap, ReserveAvoidsRehash)
     EXPECT_EQ(m.capacity(), cap);
 }
 
-TEST(FlatMap, TombstoneChurnDoesNotGrowUnbounded)
+TEST(FlatMap, SlidingWindowChurnKeepsCapacityAndSurvivors)
 {
-    // Insert/erase a sliding window of keys: live size stays small,
-    // so same-capacity rehashes must reclaim tombstones instead of
-    // doubling forever.
+    // Insert/erase a sliding window of keys that loads the minimum
+    // table to 10/16 at each insert: the capacity must never move,
+    // and after every erase each survivor must still be found from
+    // its home slot.
+    constexpr std::uint64_t kWindow = 9;
     FlatMap<std::uint64_t, std::uint64_t> m;
-    for (std::uint64_t i = 0; i < 200'000; ++i) {
+    for (std::uint64_t i = 0; i < kWindow; ++i)
         m[i] = i;
-        if (i >= 8) {
-            EXPECT_TRUE(m.erase(i - 8));
+    const std::size_t cap = m.capacity();
+    for (std::uint64_t i = kWindow; i < 100'000; ++i) {
+        m[i] = i;
+        ASSERT_TRUE(m.erase(i - kWindow)) << i;
+        ASSERT_FALSE(m.contains(i - kWindow)) << i;
+        ASSERT_EQ(m.capacity(), cap) << i;
+        for (std::uint64_t k = i + 1 - kWindow; k <= i; ++k) {
+            auto it = m.find(k);
+            ASSERT_TRUE(it != m.end()) << "lost " << k << " at " << i;
+            ASSERT_EQ(it->second, k);
         }
     }
-    EXPECT_EQ(m.size(), 8u);
-    EXPECT_LE(m.capacity(), 64u);
-    for (std::uint64_t i = 200'000 - 8; i < 200'000; ++i)
-        EXPECT_TRUE(m.contains(i));
+    EXPECT_EQ(m.size(), kWindow);
+}
+
+/** Hashes a key to its bits above 8, so a test can place each key's
+ * home slot (the low bits of the result) by hand. */
+struct HomeSlotHash
+{
+    std::uint64_t
+    operator()(std::uint64_t k) const
+    {
+        return k >> 8;
+    }
+};
+
+TEST(FlatMap, EraseShiftsAProbeRunThatWrapsPastTheLastSlot)
+{
+    // In the 16-slot minimum table: four keys homed at slot 15 fill
+    // slots 15, 0, 1 and 2; b (home 0) and c (home 1) follow at 3 and
+    // 4; d sits in its home slot 5, so no erase may move it. Iteration
+    // runs in slot order, which shows where each key ended up.
+    const std::uint64_t a0 = 0xf00, a1 = 0xf01, a2 = 0xf02, a3 = 0xf03;
+    const std::uint64_t b = 0x000, c = 0x100, d = 0x500;
+    const std::vector<std::uint64_t> all = {a0, a1, a2, a3, b, c, d};
+    struct Case
+    {
+        const char *where;
+        std::uint64_t victim;
+        std::vector<std::uint64_t> order;  //!< Survivors, slot order.
+    };
+    const Case cases[] = {
+        {"head", a0, {a2, a3, b, c, d, a1}},
+        {"middle", a2, {a1, a3, b, c, d, a0}},
+        {"tail", c, {a1, a2, a3, b, d, a0}},
+    };
+    for (const Case &tc : cases) {
+        SCOPED_TRACE(tc.where);
+        FlatMap<std::uint64_t, std::uint64_t, HomeSlotHash> m;
+        for (std::uint64_t k : all)
+            m[k] = k + 1;
+        ASSERT_EQ(m.capacity(), 16u);
+        ASSERT_TRUE(m.erase(tc.victim));
+        EXPECT_FALSE(m.contains(tc.victim));
+        EXPECT_EQ(m.size(), all.size() - 1);
+        for (std::uint64_t k : all) {
+            if (k == tc.victim)
+                continue;
+            auto it = m.find(k);
+            ASSERT_TRUE(it != m.end()) << std::hex << k;
+            EXPECT_EQ(it->second, k + 1);
+        }
+        std::vector<std::uint64_t> order;
+        for (const auto &kv : m)
+            order.push_back(kv.first);
+        EXPECT_EQ(order, tc.order);
+        // The freed slot is reusable and the run stays searchable.
+        m[tc.victim] = 0;
+        for (std::uint64_t k : all)
+            EXPECT_TRUE(m.contains(k)) << std::hex << k;
+    }
 }
 
 TEST(FlatMap, IterationVisitsEveryLiveEntryOnce)
@@ -120,23 +187,6 @@ TEST(FlatMap, IterationVisitsEveryLiveEntryOnce)
     for (int i = 1; i < 100; i += 2) {
         EXPECT_TRUE(seen.count(i)) << i;
     }
-}
-
-TEST(FlatMap, EraseByIteratorReturnsNext)
-{
-    FlatMap<int, int> m;
-    for (int i = 0; i < 64; ++i)
-        m[i] = i;
-    // Erase-during-scan: drop every even value.
-    for (auto it = m.begin(); it != m.end();) {
-        if (it->second % 2 == 0)
-            it = m.erase(it);
-        else
-            ++it;
-    }
-    EXPECT_EQ(m.size(), 32u);
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(m.contains(i), i % 2 != 0) << i;
 }
 
 TEST(FlatMap, ClearEmptiesButKeepsCapacity)
@@ -174,7 +224,10 @@ TEST(FlatMap, AdversarialKeysCollideIntoOneChain)
 TEST(FlatMapProperty, AgreesWithUnorderedMapUnderRandomOps)
 {
     // Random insert / overwrite / erase / lookup stream, checked
-    // against std::unordered_map after every operation batch.
+    // against std::unordered_map after every operation. Phases of
+    // 10,000 steps alternate: even phases pick each op a quarter of
+    // the time, odd phases erase three times in four, which drains
+    // the map and shifts long probe runs back.
     Rng rng(0xf1a7a201ull);
     FlatMap<std::uint32_t, std::uint64_t> flat;
     std::unordered_map<std::uint32_t, std::uint64_t> ref;
@@ -182,7 +235,11 @@ TEST(FlatMapProperty, AgreesWithUnorderedMapUnderRandomOps)
     for (int step = 0; step < 100'000; ++step) {
         const std::uint32_t key =
             static_cast<std::uint32_t>(rng.next() % 512);
-        switch (rng.next() % 4) {
+        const bool erase_phase = (step / 10'000) % 2 == 1;
+        const std::uint64_t draw = rng.next() % 8;
+        const std::uint64_t op =
+            erase_phase ? (draw < 6 ? 2 : draw == 6 ? 0 : 3) : draw % 4;
+        switch (op) {
           case 0:  // insert-if-absent
             EXPECT_EQ(flat.emplace(key, step).second,
                       ref.emplace(key, step).second);
@@ -205,6 +262,14 @@ TEST(FlatMapProperty, AgreesWithUnorderedMapUnderRandomOps)
           }
         }
         ASSERT_EQ(flat.size(), ref.size());
+        if (step % 10'000 == 9'999) {
+            // Every entry is still found at each phase's end.
+            for (const auto &[k, v] : ref) {
+                auto fit = flat.find(k);
+                ASSERT_TRUE(fit != flat.end()) << k;
+                EXPECT_EQ(fit->second, v);
+            }
+        }
     }
     // Full-content comparison at the end.
     std::size_t visited = 0;
@@ -215,25 +280,6 @@ TEST(FlatMapProperty, AgreesWithUnorderedMapUnderRandomOps)
         ++visited;
     }
     EXPECT_EQ(visited, ref.size());
-}
-
-TEST(FlatSet, InsertContainsErase)
-{
-    FlatSet<std::uint64_t> s;
-    EXPECT_TRUE(s.insert(7));
-    EXPECT_FALSE(s.insert(7));  // duplicate
-    EXPECT_TRUE(s.contains(7));
-    EXPECT_EQ(s.size(), 1u);
-    EXPECT_TRUE(s.erase(7));
-    EXPECT_FALSE(s.erase(7));
-    EXPECT_TRUE(s.empty());
-
-    for (std::uint64_t i = 0; i < 5000; ++i)
-        EXPECT_TRUE(s.insert(i * 977));
-    EXPECT_EQ(s.size(), 5000u);
-    for (std::uint64_t i = 0; i < 5000; ++i)
-        EXPECT_TRUE(s.contains(i * 977));
-    EXPECT_FALSE(s.contains(976));
 }
 
 } // namespace

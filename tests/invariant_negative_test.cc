@@ -12,6 +12,7 @@
  *  5. Private exclusivity       -> "private region with multiple PB"
  *  6. Inclusion (MD2/MD3)       -> "without MD2" / "MD3"
  *     MD1 pointer               -> "MD1 entry's MD2 pointer"
+ *  7. LI code (Table I)         -> "not encodable in the 6-bit LI code"
  */
 
 #include <gtest/gtest.h>
@@ -43,6 +44,16 @@ struct D2mTestPeer
         if (!e2)
             return false;
         e2->li[idx] = li;
+        return true;
+    }
+
+    bool
+    corruptMd3Li(std::uint64_t pregion, unsigned idx, LocationInfo li)
+    {
+        Md3Entry *e3 = sys.md3_->probe(pregion);
+        if (!e3)
+            return false;
+        e3->li[idx] = li;
         return true;
     }
 
@@ -105,6 +116,29 @@ struct D2mTestPeer
                     slot.master = true;
                     ++count;
                 }
+            }
+        }
+        return count;
+    }
+
+    /** Set the RP of every valid copy of @p line_addr.
+     * @return copies found. */
+    unsigned
+    corruptRp(Addr line_addr, LocationInfo rp)
+    {
+        unsigned count = 0;
+        for (auto &ctx : sys.nodes_) {
+            for (TaglessCache *c :
+                 {ctx.l1i.get(), ctx.l1d.get(), ctx.l2.get()}) {
+                if (!c)
+                    continue;
+                c->forEachValid([&](std::uint32_t set, std::uint32_t way,
+                                    const TaglessLine &line) {
+                    if (line.lineAddr == line_addr) {
+                        c->at(set, way).rp = rp;
+                        ++count;
+                    }
+                });
             }
         }
         return count;
@@ -173,10 +207,12 @@ TEST(InvariantNegative, DeterministicLiViolated)
     Fixture f;
     const Addr va = 0x1000;
     test::run(*f.sys, 0, test::store(va, 1));
-    // LLC way 31 is cold after one access: the LI cannot resolve.
+    // The last way of LLC slice 0 is cold after one access: the LI
+    // cannot resolve.
+    const unsigned last_way = f.sys->liCodec().sliceWays() - 1;
     ASSERT_TRUE(f.peer.corruptNodeLi(0, test::pregionOf(*f.sys, va),
                                      f.idxOf(va),
-                                     LocationInfo::inLlc(0, 31)));
+                                     LocationInfo::inLlc(0, last_way)));
     const std::string why = test::invariantReport(*f.sys);
     EXPECT_NE(why.find("deterministic LI violated"), std::string::npos)
         << why;
@@ -279,6 +315,49 @@ TEST(InvariantNegative, InclusionMd3Dropped)
     ASSERT_TRUE(f.peer.dropMd3Entry(test::pregionOf(*f.sys, va)));
     const std::string why = test::invariantReport(*f.sys);
     EXPECT_NE(why.find("MD3"), std::string::npos) << why;
+}
+
+TEST(InvariantNegative, LiOutsideTheSixBitCode)
+{
+    // Table I's 001WWW names L1 ways 0-7, 000NNN nodes 0-7: L1 way 9
+    // and node 9 would come back from the code as way 1 and node 1.
+    const Addr va = 0x1000;
+    {
+        SCOPED_TRACE("MD2 LI");
+        Fixture f;
+        test::run(*f.sys, 0, test::store(va, 1));
+        ASSERT_TRUE(f.peer.corruptNodeLi(0, test::pregionOf(*f.sys, va),
+                                         f.idxOf(va),
+                                         LocationInfo::inL1(9)));
+        const std::string why = test::invariantReport(*f.sys);
+        EXPECT_NE(why.find("MD2 LI not encodable in the 6-bit LI code"),
+                  std::string::npos)
+            << why;
+    }
+    {
+        SCOPED_TRACE("MD3 LI");
+        Fixture f;
+        test::run(*f.sys, 0, test::store(va, 1));
+        ASSERT_TRUE(f.peer.corruptMd3Li(test::pregionOf(*f.sys, va),
+                                        f.idxOf(va),
+                                        LocationInfo::inNode(9)));
+        const std::string why = test::invariantReport(*f.sys);
+        EXPECT_NE(why.find("MD3 LI not encodable in the 6-bit LI code"),
+                  std::string::npos)
+            << why;
+    }
+    {
+        SCOPED_TRACE("RP");
+        Fixture f;
+        test::run(*f.sys, 0, test::store(va, 1));
+        ASSERT_GE(f.peer.corruptRp(f.lineAddrOf(va),
+                                   LocationInfo::inNode(9)),
+                  1u);
+        const std::string why = test::invariantReport(*f.sys);
+        EXPECT_NE(why.find("RP not encodable in the 6-bit LI code"),
+                  std::string::npos)
+            << why;
+    }
 }
 
 TEST(InvariantNegative, CollectsMultipleViolations)

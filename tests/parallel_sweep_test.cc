@@ -8,6 +8,12 @@
  * are the one legitimate difference between two executions of the
  * same run, so comparisons zero them first — everything else must
  * match byte for byte.
+ *
+ * The stats-document half runs in a child that re-executes this
+ * binary with a filter naming only ParallelSweepChild's case. A
+ * process reads D2M_STATS_JSON once, at its first sweep; a fresh
+ * process image has a fresh latch whatever ran before in the parent,
+ * so the test holds under --gtest_repeat and --gtest_shuffle.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +22,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -94,28 +101,54 @@ normalizedDoc(std::string doc)
 const std::vector<ConfigKind> kConfigs = {
     ConfigKind::Base2L, ConfigKind::D2mFs, ConfigKind::D2mNsR};
 
+constexpr const char *kChildCase =
+    "ParallelSweepChild.SerialThenParallelSweepExport";
+
+/** Run this binary's kChildCase alone, in a new process image with
+ * D2M_STATS_JSON=@p json_path. @return its exit status. */
+int
+runChildCase(const std::string &json_path)
+{
+    char exe[PATH_MAX];
+    const ssize_t len = ::readlink("/proc/self/exe", exe, sizeof exe - 1);
+    if (len <= 0)
+        return -1;
+    exe[len] = '\0';
+    const std::string filter = std::string("--gtest_filter=") + kChildCase;
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::setenv("D2M_STATS_JSON", json_path.c_str(), 1);
+        char *argv[] = {exe, const_cast<char *>(filter.c_str()),
+                        const_cast<char *>("--gtest_brief=1"), nullptr};
+        ::execv(exe, argv);
+        std::_Exit(127);
+    }
+    int status = 0;
+    if (pid < 0 || ::waitpid(pid, &status, 0) != pid || !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
+}
+
+TEST(ParallelSweepChild, SerialThenParallelSweepExport)
+{
+    if (::testing::GTEST_FLAG(filter) != kChildCase)
+        GTEST_SKIP() << "runs only as RowsMatchSerialBitForBit's child";
+    const auto workloads = smallWorkloads();
+    runSweep(kConfigs, workloads, sweepOptions(1));
+    runSweep(kConfigs, workloads, sweepOptions(4));
+    EXPECT_EQ(campaignExitCode(), kCampaignExitClean);
+}
+
 TEST(ParallelSweep, RowsMatchSerialBitForBit)
 {
     const auto workloads = smallWorkloads();
 
     // The same two sweeps in a child that writes a D2M_STATS_JSON
-    // document, so this process never exports. A process reads the
-    // variable once, at its first sweep, so the child forks before
-    // this binary runs any sweep: this is its first test.
+    // document, so this process never exports.
     const std::string json_path =
         test::tempPath("parallel_sweep_stats.json");
     std::remove(json_path.c_str());
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-        ::setenv("D2M_STATS_JSON", json_path.c_str(), 1);
-        runSweep(kConfigs, workloads, sweepOptions(1));
-        runSweep(kConfigs, workloads, sweepOptions(4));
-        std::_Exit(campaignExitCode());
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), kCampaignExitClean);
+    ASSERT_EQ(runChildCase(json_path), 0);
 
     const auto serial = runSweep(kConfigs, workloads, sweepOptions(1));
     const auto parallel = runSweep(kConfigs, workloads, sweepOptions(4));
